@@ -2,19 +2,23 @@
 and the synthetic PR experiment, with CSV/JSON/PGM reporting.
 
 Every campaign is driven by a single config (JSON document or
-``CampaignConfig``) whose seed fully determines the outcome: per-injection
-work items derive their randomness from ``(seed, stream, index)``, workers
-merely split the index range, and results are reduced in index order, so a
-re-run at any worker count produces byte-identical reports.
+``CampaignConfig``) whose seed fully determines the outcome: scenes, frame
+sequences and faults derive their randomness from ``(seed, stream,
+index)``, workers split the work (transient by scene, permanent by
+injection chunk), and results are reduced in injection order, so a re-run
+at any worker count produces byte-identical reports. Faulty inferences
+resume from the golden trace of their scene or frame (see
+``detector.infer``); a process holds one golden trace at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -125,8 +129,17 @@ class CampaignConfig:
         if self.mode == "permanent" and self.n_frames < self.tracker.n:
             raise ConfigError(
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
-        if any(level < 0 for level in self.severity_levels):
-            raise ConfigError("severity levels must be non-negative")
+        # sorted unique floats, so the lowest level is [0] and report keys
+        # read "0.0" whether the config said 0 or 0.0
+        try:
+            levels = tuple(sorted({float(level) for level in self.severity_levels}))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"severity levels must be numbers: {exc}") from exc
+        if not levels:
+            raise ConfigError("severity_levels must not be empty")
+        if not all(0.0 <= level < math.inf for level in levels):
+            raise ConfigError("severity levels must be finite and non-negative")
+        object.__setattr__(self, "severity_levels", levels)
 
     @classmethod
     def from_json(cls, obj: dict, **overrides) -> "CampaignConfig":
@@ -215,81 +228,76 @@ class CampaignConfig:
 _STATE: dict = {}
 
 
-def _scene_for(cfg: CampaignConfig, index: int) -> int:
-    if cfg.fixed_scene:
-        return 0
-    return index % min(cfg.n_injections, cfg.scene_pool)
+def _scene_pool(cfg: CampaignConfig) -> int:
+    return 1 if cfg.fixed_scene else min(cfg.n_injections, cfg.scene_pool)
 
 
-def _build_transient_state(cfg: CampaignConfig) -> dict:
+def _model_state(cfg: CampaignConfig) -> dict:
     model = reference_model()
-    catalog = shape_catalog(model)
-    pool = 1 if cfg.fixed_scene else min(cfg.n_injections, cfg.scene_pool)
-    scenes = [generate_scene(cfg.scene_spec, _derive_seed(cfg.seed, _STREAM_SCENE, i))
-              for i in range(pool)]
-    origs = [infer(model, scene) for scene in scenes]
-    counts = []
-    for scene, trace in zip(scenes, origs):
-        outcome = assign(list(trace.detections), scene.ground_truth(),
-                         cfg.iou_threshold, cfg.category_policy)
-        counts.append((outcome.tp, outcome.fp, outcome.fn))
-    return {"cfg": cfg, "model": model, "catalog": catalog,
-            "scenes": scenes, "origs": origs, "counts": counts}
+    catalog = shape_catalog(model, cfg.scene_spec.height, cfg.scene_spec.width)
+    return {"cfg": cfg, "model": model, "catalog": catalog}
 
 
-def _init_transient_worker(cfg_json: str) -> None:
+def _init_worker(cfg_json: str, state_builder) -> None:
     _STATE.clear()
-    _STATE.update(_build_transient_state(CampaignConfig.from_json(json.loads(cfg_json))))
+    _STATE.update(state_builder(CampaignConfig.from_json(json.loads(cfg_json))))
 
 
-def _transient_injection(index: int) -> dict:
+def _transient_scene(scene_idx: int) -> dict:
+    """One scene's golden pass and every injection that lands on it.
+
+    Injection ``i`` runs on scene ``i mod pool``. Only this scene's golden
+    activations are held, so a process keeps one golden set at a time.
+    """
     cfg: CampaignConfig = _STATE["cfg"]
     model: DetectorModel = _STATE["model"]
-    scene_idx = _scene_for(cfg, index)
-    scene: Scene = _STATE["scenes"][scene_idx]
-    fault = sample_fault(
-        _STATE["catalog"], FaultTarget(cfg.target), cfg.bit_policy,
-        seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
-    corr = infer(model, scene, fault=fault)
+    scene = generate_scene(cfg.scene_spec, _derive_seed(cfg.seed, _STREAM_SCENE, scene_idx))
+    golden = infer(model, scene, keep_activations=True)
     gts = scene.ground_truth()
-    outcome = assign(list(corr.detections), gts, cfg.iou_threshold, cfg.category_policy)
-    evaluation = ImageEval(
-        image_id=scene_idx,
-        counts_orig=_STATE["counts"][scene_idx],
-        counts_corr=(outcome.tp, outcome.fp, outcome.fn),
-        inf_flag=corr.inf_seen,
-        nan_flag=corr.nan_seen,
-    )
-    report = severity(
-        evaluation,
-        list(_STATE["origs"][scene_idx].detections),
-        list(corr.detections),
-        gts,
-        (scene.width, scene.height),
-    )
-    fp_types = fp_type_breakdown(list(corr.detections), gts, cfg.iou_threshold) \
-        if report.verdict == "sdc" else None
-    return {
-        "injection_id": index,
-        "fault": fault.to_json(),
-        "image_id": scene_idx,
-        "report": report,
-        "fp_types": fp_types,
-        "corr_detections": tuple(corr.detections),
-    }
+    orig = list(golden.detections)
+    outcome = assign(orig, gts, cfg.iou_threshold, cfg.category_policy)
+    counts_orig = (outcome.tp, outcome.fp, outcome.fn)
+
+    injections = []
+    for index in range(scene_idx, cfg.n_injections, _scene_pool(cfg)):
+        fault = sample_fault(
+            _STATE["catalog"], FaultTarget(cfg.target), cfg.bit_policy,
+            seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
+        corr = infer(model, scene, fault=fault, golden=golden)
+        corr_dets = list(corr.detections)
+        outcome = assign(corr_dets, gts, cfg.iou_threshold, cfg.category_policy)
+        evaluation = ImageEval(
+            image_id=scene_idx,
+            counts_orig=counts_orig,
+            counts_corr=(outcome.tp, outcome.fp, outcome.fn),
+            inf_flag=corr.inf_seen,
+            nan_flag=corr.nan_seen,
+        )
+        report = severity(evaluation, orig, corr_dets, gts, (scene.width, scene.height))
+        fp_types = fp_type_breakdown(corr_dets, gts, cfg.iou_threshold) \
+            if report.verdict == "sdc" else None
+        injections.append({
+            "injection_id": index,
+            "fault": fault.to_json(),
+            "image_id": scene_idx,
+            "report": report,
+            "fp_types": fp_types,
+            "corr_detections": corr_dets,
+        })
+    return {"gts": gts, "orig_detections": orig, "injections": injections}
 
 
-def _run_items(cfg: CampaignConfig, n_items: int, init, work, state_builder) -> list:
-    """Execute items 0..n-1, possibly in a process pool, reduced in order."""
+def _run_items(cfg: CampaignConfig, items, work, state_builder) -> list:
+    """Run ``work`` on every item, possibly in a process pool, in item order."""
     if cfg.workers == 1:
         _STATE.clear()
         _STATE.update(state_builder(cfg))
-        return [work(i) for i in range(n_items)]
+        return [work(item) for item in items]
     cfg_json = json.dumps(cfg.echo())
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=init,
-                             initargs=(cfg_json,)) as pool:
-        chunk = max(1, n_items // (cfg.workers * 4))
-        return list(pool.map(work, range(n_items), chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                             initargs=(cfg_json, state_builder)) as pool:
+        chunk = max(1, len(items) // (cfg.workers * 4))
+        return list(pool.map(work, items, chunksize=chunk))
 
 
 def _fmt(value) -> str:
@@ -384,10 +392,10 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
     if cfg.mode != "transient":
         raise ConfigError(f"run_transient got a {cfg.mode!r} config")
     os.makedirs(out_dir, exist_ok=True)
-    results = _run_items(cfg, cfg.n_injections, _init_transient_worker,
-                         _transient_injection, _build_transient_state)
+    scenes = _run_items(cfg, range(_scene_pool(cfg)), _transient_scene, _model_state)
+    results = sorted((r for scene in scenes for r in scene["injections"]),
+                     key=lambda r: r["injection_id"])
 
-    state = _build_transient_state(cfg) if cfg.workers != 1 else _STATE
     reports = [r["report"] for r in results]
     verdicts = [r.verdict for r in reports]
     n = len(results)
@@ -409,11 +417,11 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
     orig_by_image = {}
     corr_by_image = {}
     for r in results:
-        scene_idx = r["image_id"]
+        scene = scenes[r["image_id"]]
         key = r["injection_id"]
-        gts_by_image[key] = state["scenes"][scene_idx].ground_truth()
-        orig_by_image[key] = list(state["origs"][scene_idx].detections)
-        corr_by_image[key] = list(r["corr_detections"])
+        gts_by_image[key] = scene["gts"]
+        orig_by_image[key] = scene["orig_detections"]
+        corr_by_image[key] = r["corr_detections"]
     ap_summary = {
         "orig": {
             "ap50": ap_mod.average_precision(orig_by_image, gts_by_image, 0.5).mean,
@@ -453,70 +461,83 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
 # permanent campaign
 
 
-def _build_permanent_state(cfg: CampaignConfig) -> dict:
-    model = reference_model()
-    catalog = shape_catalog(model)
-    frames = generate_sequence(_derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
-                               n_frames=cfg.n_frames,
-                               width=cfg.scene_spec.width,
-                               height=cfg.scene_spec.height)
-    orig_rasters = []
-    for frame in frames:
-        trace = infer(model, frame)
-        orig_rasters.append(rasterize([d.box for d in trace.detections],
-                                      frame.width, frame.height))
-    return {"cfg": cfg, "model": model, "catalog": catalog,
-            "frames": frames, "orig_rasters": orig_rasters}
+# injections per permanent work item; bounds the blob masks a worker holds
+_PERMANENT_CHUNK = 32
 
 
-def _init_permanent_worker(cfg_json: str) -> None:
-    _STATE.clear()
-    _STATE.update(_build_permanent_state(CampaignConfig.from_json(json.loads(cfg_json))))
+def _permanent_state(cfg: CampaignConfig) -> dict:
+    state = _model_state(cfg)
+    state["frames"] = generate_sequence(_derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
+                                        n_frames=cfg.n_frames,
+                                        width=cfg.scene_spec.width,
+                                        height=cfg.scene_spec.height)
+    return state
 
 
-def _permanent_injection(index: int) -> dict:
+def _permanent_chunks(cfg: CampaignConfig) -> list[range]:
+    size = min(_PERMANENT_CHUNK, math.ceil(cfg.n_injections / cfg.workers))
+    return [range(start, min(start + size, cfg.n_injections))
+            for start in range(0, cfg.n_injections, size)]
+
+
+def _permanent_chunk(indices: range) -> list[dict]:
+    """Stuck-at-1 runs of a chunk of injections over the whole sequence.
+
+    Frames form the outer loop: each frame's golden pass is built once and
+    every injection of the chunk resumes from it, so a process holds one
+    golden activation set at a time. The first ``emit_masks`` injections
+    of the chunk that persist at the lowest severity level keep their FP
+    tracker masks for the PGM output.
+    """
     cfg: CampaignConfig = _STATE["cfg"]
     model: DetectorModel = _STATE["model"]
     frames: list[Scene] = _STATE["frames"]
-    orig_rasters = _STATE["orig_rasters"]
-    fault = sample_fault(
-        _STATE["catalog"], FaultTarget(cfg.target), "exponent_only",
-        seed=_derive_seed(cfg.seed, _STREAM_FAULT, index),
-        mode=FaultMode.STUCK_AT_1)
-
-    fp_blobs, fn_blobs, due_frames = [], [], 0
-    for frame, orig_raster in zip(frames, orig_rasters):
-        trace = infer(model, frame, fault=fault)
-        corr_raster = rasterize([d.box for d in trace.detections], frame.width, frame.height)
-        fp_blobs.append(corr_raster & ~orig_raster)
-        fn_blobs.append(orig_raster & ~corr_raster)
-        due_frames += int(trace.nan_seen or trace.inf_seen)
+    faults = [
+        sample_fault(_STATE["catalog"], FaultTarget(cfg.target), "exponent_only",
+                     seed=_derive_seed(cfg.seed, _STREAM_FAULT, index),
+                     mode=FaultMode.STUCK_AT_1)
+        for index in indices
+    ]
+    orig_rasters = []
+    fp_blobs = [[] for _ in faults]
+    fn_blobs = [[] for _ in faults]
+    due_frames = [0] * len(faults)
+    for frame in frames:
+        golden = infer(model, frame, keep_activations=True)
+        orig_raster = rasterize([d.box for d in golden.detections], frame.width, frame.height)
+        orig_rasters.append(orig_raster)
+        for k, fault in enumerate(faults):
+            trace = infer(model, frame, fault=fault, golden=golden)
+            corr_raster = rasterize([d.box for d in trace.detections], frame.width, frame.height)
+            fp_blobs[k].append(corr_raster & ~orig_raster)
+            fn_blobs[k].append(orig_raster & ~corr_raster)
+            due_frames[k] += int(trace.nan_seen or trace.inf_seen)
 
     area = frames[0].width * frames[0].height
-    fp_tracker = TrackerConfig(m=cfg.tracker.m, n=cfg.tracker.n,
-                               vicinity_px=cfg.tracker.vicinity_px, coasting=cfg.tracker.coasting)
-    fn_tracker = TrackerConfig(m=cfg.tracker.m, n=cfg.tracker.n,
-                               vicinity_px=cfg.tracker.vicinity_px, coasting=False)
-    fp_verdict = track(fp_blobs, fp_tracker)
-    fn_verdict = track(fn_blobs, fn_tracker)
-    fp_series = occupancy_series(fp_verdict, image_area=area)
-    fn_series = occupancy_series(fn_verdict, reference_blobs=orig_rasters)
-    fp_levels = sdc_at_severity(fp_series, cfg.severity_levels)
-    fn_levels = sdc_at_severity(fn_series, cfg.severity_levels)
-    persistent_popcount = [int(m.sum()) for m in fp_verdict.masks]
-
-    return {
-        "injection_id": index,
-        "fault": fault.to_json(),
-        "fp_levels": fp_levels,
-        "fn_levels": fn_levels,
-        "fp_series": fp_series,
-        "fn_series": fn_series,
-        "mean_fp_occ": _mean(fp_series),
-        "mean_fn_vac": _mean(fn_series),
-        "due_frames": due_frames,
-        "fp_mask_popcounts": persistent_popcount,
-    }
+    fn_tracker = replace(cfg.tracker, coasting=False)
+    results = []
+    kept_masks = 0
+    for k, (index, fault) in enumerate(zip(indices, faults)):
+        fp_verdict = track(fp_blobs[k], cfg.tracker)
+        fn_verdict = track(fn_blobs[k], fn_tracker)
+        fp_series = occupancy_series(fp_verdict, image_area=area)
+        fn_series = occupancy_series(fn_verdict, reference_blobs=orig_rasters)
+        fp_levels = sdc_at_severity(fp_series, cfg.severity_levels)
+        keep = fp_levels[cfg.severity_levels[0]] and kept_masks < cfg.emit_masks
+        kept_masks += keep
+        results.append({
+            "injection_id": index,
+            "fault": fault.to_json(),
+            "fp_levels": fp_levels,
+            "fn_levels": sdc_at_severity(fn_series, cfg.severity_levels),
+            "fp_series": fp_series,
+            "fn_series": fn_series,
+            "mean_fp_occ": _mean(fp_series),
+            "mean_fn_vac": _mean(fn_series),
+            "due_frames": due_frames[k],
+            "fp_masks": fp_verdict.masks if keep else None,
+        })
+    return results
 
 
 def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
@@ -524,8 +545,8 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
     if cfg.mode != "permanent":
         raise ConfigError(f"run_permanent got a {cfg.mode!r} config")
     os.makedirs(out_dir, exist_ok=True)
-    results = _run_items(cfg, cfg.n_injections, _init_permanent_worker,
-                         _permanent_injection, _build_permanent_state)
+    chunks = _run_items(cfg, _permanent_chunks(cfg), _permanent_chunk, _permanent_state)
+    results = [r for chunk in chunks for r in chunk]
     n = len(results)
 
     def level_rates(key):
@@ -575,20 +596,11 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
     _write_csv(os.path.join(out_dir, "occupancy_series.csv"),
                ("injection_id", "frame", "fp_occ", "fn_vac"), series_rows)
 
-    if cfg.emit_masks > 0:
-        state = _build_permanent_state(cfg) if cfg.workers != 1 else _STATE
-        emitted = 0
-        for r in results:
-            if not r["fp_levels"][cfg.severity_levels[0]]:
-                continue
-            masks = track(
-                _rebuild_fp_blobs(state, r["injection_id"]), state["cfg"].tracker).masks
-            for frame_idx, mask in enumerate(masks):
-                write_pgm(mask, os.path.join(
-                    out_dir, f"fp_mask_inj{r['injection_id']}_frame{frame_idx:03d}.pgm"))
-            emitted += 1
-            if emitted >= cfg.emit_masks:
-                break
+    emitted = [r for r in results if r["fp_masks"] is not None][:cfg.emit_masks]
+    for r in emitted:
+        for frame_idx, mask in enumerate(r["fp_masks"]):
+            write_pgm(mask, os.path.join(
+                out_dir, f"fp_mask_inj{r['injection_id']}_frame{frame_idx:03d}.pgm"))
 
     report = {
         "config": cfg.echo(),
@@ -601,20 +613,6 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
     return report
-
-
-def _rebuild_fp_blobs(state, injection_id):
-    cfg = state["cfg"]
-    fault = sample_fault(
-        state["catalog"], FaultTarget(cfg.target), "exponent_only",
-        seed=_derive_seed(cfg.seed, _STREAM_FAULT, injection_id),
-        mode=FaultMode.STUCK_AT_1)
-    blobs = []
-    for frame, orig_raster in zip(state["frames"], state["orig_rasters"]):
-        trace = infer(state["model"], frame, fault=fault)
-        corr = rasterize([d.box for d in trace.detections], frame.width, frame.height)
-        blobs.append(corr & ~orig_raster)
-    return blobs
 
 
 # ---------------------------------------------------------------------------

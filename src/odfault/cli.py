@@ -28,7 +28,8 @@ EXIT_DATA = 3
 
 
 def _add_common(parser, mode):
-    parser.add_argument("--config", help="JSON configuration document")
+    if mode != "simulate_pr":  # the PR experiment is driven by its own flags only
+        parser.add_argument("--config", help="JSON configuration document")
     parser.add_argument("--seed", type=int, required=True, help="campaign seed (mandatory)")
     parser.add_argument("--out", required=True, help="output directory")
     if mode in ("transient", "permanent"):

@@ -28,7 +28,7 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -116,6 +116,7 @@ class InferenceTrace:
     nan_seen: bool
     inf_seen: bool
     activations: tuple[np.ndarray, ...] | None = None
+    layer_flags: tuple[tuple[bool, bool], ...] = ()  # per-layer (nan, inf)
 
 
 def _checkerboard(height: int, width: int) -> np.ndarray:
@@ -294,38 +295,46 @@ def reference_model() -> DetectorModel:
     return DetectorModel(layers)
 
 
-def shape_catalog(model: DetectorModel) -> ShapeCatalog:
-    """Exact activation and filter tensor shapes for every conv layer."""
+def shape_catalog(model: DetectorModel, height: int = 64, width: int = 64) -> ShapeCatalog:
+    """Exact activation and filter tensor shapes for every conv layer.
+
+    Activations are same-padded, so every neuron tensor has the scene's
+    ``height`` x ``width`` extent.
+    """
     neuron_shapes = []
     weight_shapes = []
     for layer in model.layers:
         weight_shapes.append(tuple(layer.weights.shape))
-        neuron_shapes.append((layer.weights.shape[0], 64, 64))
+        neuron_shapes.append((layer.weights.shape[0], height, width))
     return ShapeCatalog(tuple(neuron_shapes), tuple(weight_shapes))
 
 
-def _convolve(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+def _convolve(x: np.ndarray, layer: ConvLayer, channels=None) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
     Zero weights are multiplied like any other so IEEE special values
     propagate exactly as a dense implementation would (0 * inf = nan).
+    ``channels`` restricts the output to those filters; each output channel
+    is accumulated independently, so a subset is bit-identical to the same
+    channels of the full result.
     """
     c_in, height, width = x.shape
     c_out, _, kh, kw = layer.weights.shape
+    channels = range(c_out) if channels is None else channels
     pad_h, pad_w = kh // 2, kw // 2
     padded = np.zeros((c_in, height + 2 * pad_h, width + 2 * pad_w), dtype=F32)
     padded[:, pad_h:pad_h + height, pad_w:pad_w + width] = x
-    out = np.empty((c_out, height, width), dtype=F32)
+    out = np.empty((len(channels), height, width), dtype=F32)
     # overflow to inf and 0*inf=nan are expected consequences of injected
     # faults, not numerical accidents worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        for oc in range(c_out):
+        for k, oc in enumerate(channels):
             acc = np.full((height, width), layer.biases[oc], dtype=F32)
             for ic in range(c_in):
                 for dy in range(kh):
                     for dx in range(kw):
                         acc = acc + layer.weights[oc, ic, dy, dx] * padded[ic, dy:dy + height, dx:dx + width]
-            out[oc] = acc
+            out[k] = acc
     return out
 
 
@@ -376,10 +385,39 @@ def _corrupt_weights(model: DetectorModel, fault: FaultDescriptor) -> DetectorMo
     weights[fault.tensor_coords] = apply_fault(weights[fault.tensor_coords], fault.bit, fault.mode)
     layers = list(model.layers)
     layers[fault.layer_index] = ConvLayer(weights, layer.biases, layer.activation)
-    return DetectorModel(layers=tuple(layers),
-                         confidence_threshold=model.confidence_threshold,
-                         nms_threshold=model.nms_threshold,
-                         max_detections=model.max_detections)
+    return replace(model, layers=tuple(layers))
+
+
+def _check_fault(model: DetectorModel, scene: Scene, fault: FaultDescriptor) -> None:
+    n_layers = len(model.layers)
+    if not 0 <= fault.layer_index < n_layers:
+        raise ValueError(f"fault layer {fault.layer_index} outside 0..{n_layers - 1}")
+    weights = model.layers[fault.layer_index].weights
+    # same-padded convs keep the scene extent, so this is the exact shape
+    # of the activation tensor a neuron fault corrupts
+    shape = (
+        (weights.shape[0], scene.height, scene.width)
+        if fault.target == FaultTarget.NEURON
+        else weights.shape
+    )
+    if len(fault.tensor_coords) != len(shape) or not all(
+        0 <= c < s for c, s in zip(fault.tensor_coords, shape)
+    ):
+        raise ValueError(f"fault coords {fault.tensor_coords} invalid for shape {tuple(shape)}")
+
+
+def _nonfinite(x: np.ndarray) -> tuple[bool, bool]:
+    return bool(np.isnan(x).any()), bool(np.isinf(x).any())
+
+
+def _trace(detections, layer_flags, activations=None) -> InferenceTrace:
+    return InferenceTrace(
+        detections=tuple(detections),
+        nan_seen=any(nan for nan, _ in layer_flags),
+        inf_seen=any(inf for _, inf in layer_flags),
+        activations=activations,
+        layer_flags=tuple(layer_flags),
+    )
 
 
 def infer(
@@ -387,6 +425,7 @@ def infer(
     scene: Scene,
     fault: FaultDescriptor | None = None,
     keep_activations: bool = False,
+    golden: InferenceTrace | None = None,
 ) -> InferenceTrace:
     """Forward pass with an optional single fault.
 
@@ -395,41 +434,70 @@ def infer(
     every inference); neuron faults corrupt exactly one activation element
     right after the layer's activation function. NaN/Inf flags are scanned
     over every post-activation tensor, faulty value included.
+
+    ``golden`` is this scene's fault-free trace from
+    ``infer(model, scene, keep_activations=True)``. With a fault it lets
+    the pass resume at the fault's layer and stop once the faulty
+    activations are bit-identical to golden; the result is the same as
+    the full pass. It is ignored without a fault or with
+    ``keep_activations``, which always run the full pass.
     """
     if fault is not None:
-        n_layers = len(model.layers)
-        if not 0 <= fault.layer_index < n_layers:
-            raise ValueError(f"fault layer {fault.layer_index} outside 0..{n_layers - 1}")
-        shape = (
-            shape_catalog(model).neuron_shapes[fault.layer_index]
-            if fault.target == FaultTarget.NEURON
-            else model.layers[fault.layer_index].weights.shape
-        )
-        if len(fault.tensor_coords) != len(shape) or not all(
-            0 <= c < s for c, s in zip(fault.tensor_coords, shape)
-        ):
-            raise ValueError(f"fault coords {fault.tensor_coords} invalid for shape {tuple(shape)}")
+        _check_fault(model, scene, fault)
         if fault.target == FaultTarget.WEIGHT:
             model = _corrupt_weights(model, fault)
+        if golden is not None and not keep_activations:
+            return _resume(model, scene, fault, golden)
 
     x = scene.pixels[None, :, :].astype(F32, copy=False)
-    nan_seen = False
-    inf_seen = False
+    layer_flags = []
     activations = []
     for index, layer in enumerate(model.layers):
         x = _activate(_convolve(x, layer), layer.activation)
         if fault is not None and fault.target == FaultTarget.NEURON and fault.layer_index == index:
             x = x.copy()
             x[fault.tensor_coords] = apply_fault(x[fault.tensor_coords], fault.bit, fault.mode)
-        nan_seen = nan_seen or bool(np.isnan(x).any())
-        inf_seen = inf_seen or bool(np.isinf(x).any())
+        layer_flags.append(_nonfinite(x))
         if keep_activations:
-            activations.append(x.copy())
+            activations.append(x)  # never written after this point
 
     detections = _decode(x, model, scene.width, scene.height)
-    return InferenceTrace(
-        detections=tuple(detections),
-        nan_seen=nan_seen,
-        inf_seen=inf_seen,
-        activations=tuple(activations) if keep_activations else None,
-    )
+    return _trace(detections, layer_flags, tuple(activations) if keep_activations else None)
+
+
+def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
+            golden: InferenceTrace) -> InferenceTrace:
+    """Faulty pass restarted from the golden input of the fault's layer.
+
+    ``model`` already carries a weight fault. Such a fault changes only
+    output channel f of its layer, so only that channel is recomputed. A
+    neuron fault patches one element of the golden output. After every
+    layer the faulty output is compared with golden over its raw bits (so
+    -0.0 and NaN payloads count as differences); on a match the rest of
+    the pass is golden's, detections and NaN/Inf flags included. Decode
+    runs only when the last layer's output differs.
+    """
+    if golden.activations is None or len(golden.layer_flags) != len(model.layers):
+        raise ValueError("golden trace must come from infer(..., keep_activations=True)")
+    index = fault.layer_index
+    layer = model.layers[index]
+    x = golden.activations[index].copy()
+    if fault.target == FaultTarget.WEIGHT:
+        x_in = (golden.activations[index - 1] if index
+                else scene.pixels[None, :, :].astype(F32, copy=False))
+        f = fault.tensor_coords[0]
+        x[f] = _activate(_convolve(x_in, layer, [f]), layer.activation)[0]
+    else:
+        x[fault.tensor_coords] = apply_fault(x[fault.tensor_coords], fault.bit, fault.mode)
+
+    layer_flags = list(golden.layer_flags)
+    while True:
+        if np.array_equal(x.view(np.uint32), golden.activations[index].view(np.uint32)):
+            return _trace(golden.detections, layer_flags)
+        layer_flags[index] = _nonfinite(x)
+        index += 1
+        if index == len(model.layers):
+            break
+        layer = model.layers[index]
+        x = _activate(_convolve(x, layer), layer.activation)
+    return _trace(_decode(x, model, scene.width, scene.height), layer_flags)

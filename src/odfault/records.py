@@ -66,6 +66,22 @@ def _parse_box(raw, width, height, where):
     return clip(Box(*coords), width, height)
 
 
+def _parse_detection(raw, width, height, where, scored) -> Detection:
+    """One detection (``scored``) or ground-truth box; errors name the field."""
+    field = "bbox"
+    try:
+        box = _parse_box(raw["bbox"], width, height, where)
+        field = "category"
+        category = int(raw["category"])
+        field = "confidence"
+        confidence = float(raw.get("confidence", 1.0)) if scored else 1.0
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{where}: missing or malformed {field!r} ({exc!r})") from exc
+    if not 0.0 <= confidence <= 1.0:
+        raise DataError(f"{where}: confidence {confidence} outside [0, 1]")
+    return Detection(box, category, confidence)
+
+
 def _parse_record(obj: dict, where: str) -> DetectionRecord:
     try:
         image_id = obj["image_id"]
@@ -79,22 +95,12 @@ def _parse_record(obj: dict, where: str) -> DetectionRecord:
     if width <= 0 or height <= 0:
         raise DataError(f"{where}: non-positive image dimensions {width}x{height}")
 
-    detections = []
-    for k, det in enumerate(raw_dets):
-        confidence = float(det.get("confidence", 1.0))
-        if not 0.0 <= confidence <= 1.0:
-            raise DataError(f"{where}: detection {k} confidence {confidence} outside [0, 1]")
-        detections.append(
-            Detection(
-                _parse_box(det["bbox"], width, height, f"{where} detection {k}"),
-                int(det["category"]),
-                confidence,
-            )
-        )
-    ground_truth = [
-        Detection(_parse_box(g["bbox"], width, height, f"{where} gt {k}"), int(g["category"]), 1.0)
-        for k, g in enumerate(raw_gts)
-    ]
+    if not isinstance(raw_dets, list) or not isinstance(raw_gts, list):
+        raise DataError(f"{where}: 'detections' and 'ground_truth' must be lists")
+    detections = [_parse_detection(det, width, height, f"{where} detection {k}", True)
+                  for k, det in enumerate(raw_dets)]
+    ground_truth = [_parse_detection(g, width, height, f"{where} gt {k}", False)
+                    for k, g in enumerate(raw_gts)]
     return DetectionRecord(
         image_id=image_id,
         width=width,

@@ -32,6 +32,15 @@ def _read_bytes(path):
         return handle.read()
 
 
+def test_severity_levels_normalised_at_load():
+    cfg = CampaignConfig.from_json(dict(PERMANENT_BASE, severity_levels=[0.1, 0, 0.1, 0.05]))
+    assert cfg.severity_levels == (0.0, 0.05, 0.1)
+    assert all(type(level) is float for level in cfg.severity_levels)
+    for bad in ([], [-0.1], ["x"], [float("nan")]):
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_json(dict(PERMANENT_BASE, severity_levels=bad))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         CampaignConfig.from_json({"mode": "transient"})  # no seed
@@ -120,6 +129,61 @@ def test_permanent_determinism(tmp_path):
     run_permanent(CampaignConfig.from_json(dict(PERMANENT_BASE, workers=2)), out2)
     for name in ("injections.csv", "occupancy_series.csv", "report.json"):
         assert _read_bytes(out1 / name) == _read_bytes(out2 / name)
+
+
+def _campaign_files(out_dir):
+    names = ("injections.csv", "bit_averages.csv", "report.json", "occupancy_series.csv")
+    files = {p.name: _read_bytes(p) for p in sorted(out_dir.iterdir())
+             if p.name in names or p.suffix == ".pgm"}
+    assert "report.json" in files
+    return files
+
+
+@pytest.mark.parametrize("runner, cfg", [
+    (run_transient, dict(TRANSIENT_BASE, n_injections=13, scene={"fixed": True})),
+    (run_transient, dict(TRANSIENT_BASE, n_injections=23, target="weight")),
+    (run_permanent, {"mode": "permanent", "seed": 20, "n_injections": 5, "emit_masks": 2,
+                     "sequence": {"n_frames": 60}}),
+])
+def test_outputs_identical_at_one_and_two_workers(tmp_path, runner, cfg):
+    # transient work is split by scene, permanent work by injection chunk;
+    # neither split may show in the outputs
+    runner(CampaignConfig.from_json(cfg), tmp_path / "w1")
+    runner(CampaignConfig.from_json(dict(cfg, workers=2)), tmp_path / "w2")
+    one = _campaign_files(tmp_path / "w1")
+    assert one == _campaign_files(tmp_path / "w2")
+    if runner is run_permanent:
+        assert any(name.endswith(".pgm") for name in one)  # seed 20 persists
+
+
+def test_permanent_accepts_integer_severity_level_from_cli(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"severity_levels": [0.05, 0], "sequence": {"n_frames": 20},
+                                    "n_injections": 2}))
+    out = tmp_path / "out"
+    result = _run_cli(["permanent", "--config", str(cfg_path), "--seed", "5", "--out", str(out)])
+    assert result.returncode == 0, result.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["fp_rates_at_level"]) == ["0.0", "0.05"]
+
+    cfg_path.write_text(json.dumps({"severity_levels": []}))
+    result = _run_cli(["permanent", "--config", str(cfg_path), "--seed", "5", "--out", str(out)])
+    assert result.returncode == 2
+    assert "config error" in result.stderr
+
+
+@pytest.mark.parametrize("size", [48, 96])
+def test_transient_neuron_campaign_on_non_default_scene_size(tmp_path, size):
+    cfg = CampaignConfig.from_json(dict(TRANSIENT_BASE, n_injections=60,
+                                        scene={"pool": 4, "width": size, "height": size}))
+    run_transient(cfg, tmp_path)
+    with open(tmp_path / "injections.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    coords = [tuple(int(c) for c in row["coords"].split(";")) for row in rows]
+    assert max(max(c[1], c[2]) for c in coords) >= min(size, 64) - 8
+    assert all(c[1] < size and c[2] < size for c in coords)
+    if size > 64:
+        assert any(c[1] >= 64 or c[2] >= 64 for c in coords)
 
 
 def _make_record_files(tmp_path, mutate=None):
@@ -253,6 +317,29 @@ def test_cli_simulate_pr(tmp_path):
     result = _run_cli(["simulate-pr", "--seed", "11", "--out", str(out)])
     assert result.returncode == 0, result.stderr
     assert (out / "pr_summary.csv").exists()
+
+
+def test_cli_simulate_pr_rejects_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{}")
+    result = _run_cli(["simulate-pr", "--config", str(cfg_path), "--seed", "11",
+                       "--out", str(tmp_path / "pr")])
+    assert result.returncode == 2
+    assert "--config" in result.stderr
+    assert not (tmp_path / "pr").exists()
+
+
+def test_cli_ingest_missing_bbox_exit_code(tmp_path):
+    orig_path, corr_path = _make_record_files(tmp_path)
+    lines = corr_path.read_text().splitlines()
+    record = json.loads(lines[2])
+    del record["detections"][0]["bbox"]
+    lines[2] = json.dumps(record)
+    corr_path.write_text("\n".join(lines) + "\n")
+    result = _run_cli(["ingest", "--orig", str(orig_path), "--corr", str(corr_path),
+                       "--seed", "1", "--out", str(tmp_path / "out")])
+    assert result.returncode == 3
+    assert ":3 detection 0" in result.stderr and "'bbox'" in result.stderr
 
 
 def test_cli_config_file_with_flag_overrides(tmp_path):

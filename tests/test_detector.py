@@ -9,6 +9,9 @@ from odfault.bits import FP32, FaultDescriptor, FaultMode, FaultTarget, sample_f
 from odfault.detector import (
     BACKGROUND_LEVELS,
     CATEGORY_INTENSITIES,
+    ConvLayer,
+    DetectorModel,
+    Scene,
     SceneSpec,
     generate_scene,
     generate_sequence,
@@ -229,3 +232,81 @@ def test_stuck_weight_ghost_persists_at_high_severity():
     flags = sdc_at_severity(series, [0.0, 0.15])
     assert flags[0.0] and flags[0.15]
     assert max(series) > 0.5
+
+
+def _live_and_random_coords(tensor, rng):
+    """The largest-magnitude element (to reach Inf/NaN) and a random one."""
+    live = np.unravel_index(int(np.argmax(np.abs(tensor))), tensor.shape)
+    return [tuple(int(c) for c in live), tuple(int(rng.integers(0, e)) for e in tensor.shape)]
+
+
+def test_golden_resume_matches_full_inference():
+    # resumed inference is an optimisation: it must agree with the full
+    # pass on every layer x target x mode, including the NaN/Inf paths
+    rng = np.random.default_rng(0)
+    checked = nan_cases = inf_cases = 0
+    for seed in (0, 4, 7):
+        scene = generate_scene(SPEC, seed=seed)
+        golden = infer(MODEL, scene, keep_activations=True)
+        for layer in range(len(MODEL.layers)):
+            tensors = {FaultTarget.NEURON: golden.activations[layer],
+                       FaultTarget.WEIGHT: MODEL.layers[layer].weights}
+            for target, tensor in tensors.items():
+                for coords in _live_and_random_coords(tensor, rng):
+                    for mode in FaultMode:
+                        for bit in (23, 29, 30, 31):
+                            fault = FaultDescriptor(target, layer, coords, bit, mode)
+                            full = infer(MODEL, scene, fault=fault)
+                            resumed = infer(MODEL, scene, fault=fault, golden=golden)
+                            assert _trace_key(resumed) == _trace_key(full), fault
+                            assert resumed.layer_flags == full.layer_flags, fault
+                            checked += 1
+                            nan_cases += full.nan_seen
+                            inf_cases += full.inf_seen
+    assert checked == 3 * 5 * 2 * 2 * 3 * 4
+    assert nan_cases > 0 and inf_cases > 0
+
+
+def test_golden_trace_records_layer_flags_and_leaves_golden_intact():
+    scene = generate_scene(SPEC, seed=0)
+    golden = infer(MODEL, scene, keep_activations=True)
+    assert golden.layer_flags == ((False, False),) * len(MODEL.layers)
+    before = [a.copy() for a in golden.activations]
+    fault = _neuron_fault(3, (0, 50, 8), 30)
+    assert _trace_key(infer(MODEL, scene, fault=fault, golden=golden)) == \
+        _trace_key(infer(MODEL, scene, fault=fault))
+    for kept, now in zip(before, golden.activations):
+        assert np.array_equal(kept.view(np.uint32), now.view(np.uint32))
+    with pytest.raises(ValueError):
+        infer(MODEL, scene, fault=fault, golden=infer(MODEL, scene))
+
+
+def test_golden_resume_keeps_flags_of_layers_before_reconvergence():
+    # relu1 clamps an injected +inf back to golden's 1.0, so the pass
+    # reconverges one layer after the fault; the Inf must still be reported
+    unit = np.ones((1, 1, 1, 1), dtype=np.float32)
+    bias = np.zeros(1, dtype=np.float32)
+    model = DetectorModel((ConvLayer(unit, bias, "relu"), ConvLayer(unit, bias, "relu1")))
+    scene = Scene(np.ones((8, 8), dtype=np.float32), ())
+    golden = infer(model, scene, keep_activations=True)
+    fault = _neuron_fault(0, (0, 3, 3), 30)  # 1.0 -> +inf
+    full = infer(model, scene, fault=fault)
+    assert full.inf_seen and not full.nan_seen
+    assert _trace_key(infer(model, scene, fault=fault, golden=golden)) == _trace_key(full)
+
+
+@pytest.mark.parametrize("size", [48, 96])
+def test_neuron_faults_cover_the_whole_scene(size):
+    spec = SceneSpec(width=size, height=size)
+    catalog = shape_catalog(MODEL, height=size, width=size)
+    assert all(shape[1:] == (size, size) for shape in catalog.neuron_shapes)
+    scene = generate_scene(spec, seed=1)
+    trace = infer(MODEL, scene, keep_activations=True)
+    assert [a.shape for a in trace.activations] == list(catalog.neuron_shapes)
+    corners = (size - 1, size - 1)
+    infer(MODEL, scene, fault=_neuron_fault(2, (0, *corners), 30))  # must not raise
+    with pytest.raises(ValueError):
+        infer(MODEL, scene, fault=_neuron_fault(2, (0, size, 0), 30))
+    rows = [sample_fault(catalog, FaultTarget.NEURON, "all_32", seed=s).tensor_coords[1]
+            for s in range(200)]
+    assert max(rows) >= size - 8

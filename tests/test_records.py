@@ -97,6 +97,29 @@ def test_missing_field_rejected(tmp_path):
         read_records(path)
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("bbox", lambda det: det.pop("bbox")),
+    ("confidence", lambda det: det.update(confidence="high")),
+    ("category", lambda det: det.update(category=[1])),
+])
+def test_malformed_detection_names_line_and_field(tmp_path, field, edit):
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    edit(obj["detections"][0])
+    path.write_text(json.dumps(_record().to_json()) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(DataError, match=rf":2 detection 0: missing or malformed '{field}'"):
+        read_records(path)
+
+
+def test_ground_truth_without_bbox_rejected(tmp_path):
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    del obj["ground_truth"][0]["bbox"]
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(DataError, match=":1 gt 0: missing or malformed 'bbox'"):
+        read_records(path)
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.ndjson"
     path.write_text("")
