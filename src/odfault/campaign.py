@@ -4,11 +4,17 @@ and the synthetic PR experiment, with CSV/JSON/PGM reporting.
 Every campaign is driven by a single config (JSON document or
 ``CampaignConfig``) whose seed fully determines the outcome: scenes, frame
 sequences and faults derive their randomness from ``(seed, stream,
-index)``, workers split the work (transient by scene, permanent by
-injection chunk), and results are reduced in injection order, so a re-run
-at any worker count produces byte-identical reports. Faulty inferences
-resume from the golden trace of their scene or frame (see
-``detector.infer``); a process holds one golden trace at a time.
+index)``, workers receive the frozen config and split the work (transient
+by scene, permanent by injection chunk), and results are reduced in
+injection order, so a re-run at any worker count produces byte-identical
+reports. The ``config`` echo in each report is a document that reproduces
+the campaign. Faulty inferences resume from the golden trace of their
+scene or frame (see ``detector.infer``); a process holds one golden trace
+at a time.
+
+Transient injections and ingested record pairs share one image-wise
+scoring (``_score``) and one summary of rates, SDC severity and AP
+(``_summary``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -42,7 +49,7 @@ from odfault.detector import (
 )
 from odfault.geometry import rasterize
 from odfault.matching import CategoryPolicy, assign, fp_type_breakdown
-from odfault.metrics import ImageEval, SdcReport, severity
+from odfault.metrics import ImageEval, SdcReport, _mean, bit_averaged, severity
 from odfault.persistence import TrackerConfig, occupancy_series, sdc_at_severity, track
 from odfault.records import DataError, read_records
 
@@ -67,27 +74,9 @@ _STREAM_SCENE = 0
 _STREAM_FAULT = 1
 _STREAM_SEQUENCE = 2
 
-CSV_COLUMNS = (
-    "injection_id",
-    "target",
-    "layer",
-    "coords",
-    "bit",
-    "mode",
-    "image_id",
-    "verdict",
-    "delta_fp",
-    "delta_fn_n",
-    "avg_conf_orig",
-    "avg_conf_corr",
-    "avg_size_orig",
-    "avg_size_corr",
-    "a_fp_occ",
-    "a_fn_vac",
-)
-
-DEFAULT_SEVERITY_LEVELS = (0.0, 0.05, 0.10, 0.15)
-
+_FAULT_COLUMNS = ("target", "layer", "coords", "bit", "mode")
+_REPORT_COLUMNS = tuple(f.name for f in fields(SdcReport))
+CSV_COLUMNS = ("injection_id", *_FAULT_COLUMNS, "image_id", *_REPORT_COLUMNS)
 
 def _derive_seed(seed: int, stream: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, stream, index))
@@ -97,8 +86,8 @@ def _derive_seed(seed: int, stream: int, index: int) -> np.random.SeedSequence:
 class CampaignConfig:
     """Validated configuration shared by all campaign modes."""
 
-    mode: str
-    seed: int
+    mode: str = "transient"
+    seed: int | None = None  # mandatory; None is rejected below
     n_injections: int = 200
     target: str = "neuron"
     bit_policy: str = "all_32"
@@ -109,7 +98,7 @@ class CampaignConfig:
     fixed_scene: bool = False
     n_frames: int = 60
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    severity_levels: tuple[float, ...] = DEFAULT_SEVERITY_LEVELS
+    severity_levels: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15)
     category_policy: CategoryPolicy = field(default_factory=CategoryPolicy.strict)
     emit_masks: int = 0
 
@@ -126,6 +115,10 @@ class CampaignConfig:
             raise ConfigError(f"unknown bit policy {self.bit_policy!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if not 0.0 < self.iou_threshold <= 1.0:
+            raise ConfigError(f"iou_threshold must lie in (0, 1], got {self.iou_threshold}")
+        if self.scene_pool < 1:
+            raise ConfigError("scene pool must be at least 1")
         if self.mode == "permanent" and self.n_frames < self.tracker.n:
             raise ConfigError(
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
@@ -143,83 +136,87 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, obj: dict, **overrides) -> "CampaignConfig":
-        obj = dict(obj)
-        obj.update({k: v for k, v in overrides.items() if v is not None})
+        """Config from a JSON document; ``overrides``, keyed by field name, win.
+
+        Only the keys the document has are filled in, so every default is
+        its dataclass's own. Overrides that are None are ignored.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
+        values: dict[str, dict] = {}
         try:
-            scene = obj.get("scene", {})
-            spec = SceneSpec(
-                width=int(scene.get("width", 64)),
-                height=int(scene.get("height", 64)),
-                object_count=tuple(scene.get("object_count", (2, 4))),
-                size_range=tuple(scene.get("size_range", (10, 16))),
-            )
-            tracker_obj = obj.get("tracker", {})
-            tracker = TrackerConfig(
-                m=int(tracker_obj.get("m", 10)),
-                n=int(tracker_obj.get("n", 15)),
-                vicinity_px=int(tracker_obj.get("vicinity_px", 50)),
-                coasting=bool(tracker_obj.get("fp_coasting", True)),
-            )
-            policy_obj = obj.get("category_policy", {})
-            mode = policy_obj.get("mode", "strict")
-            if mode == "clusters":
-                policy = CategoryPolicy.from_clusters(policy_obj.get("clusters", []))
-            else:
-                policy = CategoryPolicy(mode)
-            if "seed" not in obj or obj["seed"] is None:
-                raise ConfigError("seed is mandatory")
-            return cls(
-                mode=obj.get("mode", "transient"),
-                seed=int(obj["seed"]),
-                n_injections=int(obj.get("n_injections", 200)),
-                target=obj.get("target", "neuron"),
-                bit_policy=obj.get("bit_policy", "all_32"),
-                workers=int(obj.get("workers", 1)),
-                iou_threshold=float(obj.get("iou_threshold", 0.5)),
-                scene_spec=spec,
-                scene_pool=int(scene.get("pool", 200)),
-                fixed_scene=bool(scene.get("fixed", False)),
-                n_frames=int(obj.get("sequence", {}).get("n_frames", 60)),
-                tracker=tracker,
-                severity_levels=tuple(obj.get("severity_levels", DEFAULT_SEVERITY_LEVELS)),
-                category_policy=policy,
-                emit_masks=int(obj.get("emit_masks", 0)),
-            )
-        except ConfigError:
-            raise
+            for section, key, name, parse in _CONFIG_FIELDS:
+                doc = obj.get(section, {}) if section else obj
+                if not isinstance(doc, dict):
+                    raise ConfigError(f"config section {section!r} must be a JSON object")
+                if overrides.get(name) is not None:
+                    value = overrides[name]
+                elif key in doc:
+                    value = doc[key]
+                else:
+                    continue
+                owner, _, attr = name.rpartition(".")
+                values.setdefault(owner, {})[attr] = parse(value)
+            kwargs = values.pop("", {})
+            for owner, nested in values.items():
+                kwargs[owner] = _NESTED[owner](**nested)
+            return cls(**kwargs)
         except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
     def echo(self) -> dict:
-        # the worker count is an execution detail, not campaign identity:
-        # outputs must be byte-identical at any parallelism
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "n_injections": self.n_injections,
-            "target": self.target,
-            "bit_policy": self.bit_policy,
-            "iou_threshold": self.iou_threshold,
-            "scene": {
-                "width": self.scene_spec.width,
-                "height": self.scene_spec.height,
-                "object_count": list(self.scene_spec.object_count),
-                "size_range": list(self.scene_spec.size_range),
-                "pool": self.scene_pool,
-                "fixed": self.fixed_scene,
-            },
-            "sequence": {"n_frames": self.n_frames},
-            "tracker": {
-                "m": self.tracker.m,
-                "n": self.tracker.n,
-                "vicinity_px": self.tracker.vicinity_px,
-                "fp_coasting": self.tracker.coasting,
-            },
-            "severity_levels": list(self.severity_levels),
-            "category_policy": {"mode": self.category_policy.mode,
-                                "clusters": [sorted(g) for g in self.category_policy.clusters]},
-            "emit_masks": self.emit_masks,
-        }
+        """The JSON document that reproduces this campaign."""
+        doc: dict = {}
+        for section, key, name, _ in _CONFIG_FIELDS:
+            # the worker count is an execution detail, not campaign identity:
+            # outputs must be byte-identical at any parallelism
+            if name != "workers":
+                target = doc.setdefault(section, {}) if section else doc
+                target[key] = _json_value(reduce(getattr, name.split("."), self))
+        return doc
+
+
+def _clusters(groups) -> tuple[frozenset, ...]:
+    return tuple(frozenset(group) for group in groups)
+
+
+def _json_value(value):
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    return value
+
+
+# Where each config field lives in a JSON document: (section, key, field,
+# parser). Section "" is the top level; a dotted field belongs to the
+# nested dataclass named before the dot (see _NESTED).
+_CONFIG_FIELDS = (
+    ("", "mode", "mode", str),
+    ("", "seed", "seed", int),
+    ("", "n_injections", "n_injections", int),
+    ("", "target", "target", str),
+    ("", "bit_policy", "bit_policy", str),
+    ("", "workers", "workers", int),
+    ("", "iou_threshold", "iou_threshold", float),
+    ("scene", "width", "scene_spec.width", int),
+    ("scene", "height", "scene_spec.height", int),
+    ("scene", "object_count", "scene_spec.object_count", tuple),
+    ("scene", "size_range", "scene_spec.size_range", tuple),
+    ("scene", "pool", "scene_pool", int),
+    ("scene", "fixed", "fixed_scene", bool),
+    ("sequence", "n_frames", "n_frames", int),
+    ("tracker", "m", "tracker.m", int),
+    ("tracker", "n", "tracker.n", int),
+    ("tracker", "vicinity_px", "tracker.vicinity_px", int),
+    ("tracker", "fp_coasting", "tracker.coasting", bool),
+    ("", "severity_levels", "severity_levels", tuple),
+    ("category_policy", "mode", "category_policy.mode", str),
+    ("category_policy", "clusters", "category_policy.clusters", _clusters),
+    ("", "emit_masks", "emit_masks", int),
+)
+
+_NESTED = {"scene_spec": SceneSpec, "tracker": TrackerConfig, "category_policy": CategoryPolicy}
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +229,44 @@ def _scene_pool(cfg: CampaignConfig) -> int:
     return 1 if cfg.fixed_scene else min(cfg.n_injections, cfg.scene_pool)
 
 
-def _model_state(cfg: CampaignConfig) -> dict:
+def _init_worker(cfg: CampaignConfig) -> None:
     model = reference_model()
-    catalog = shape_catalog(model, cfg.scene_spec.height, cfg.scene_spec.width)
-    return {"cfg": cfg, "model": model, "catalog": catalog}
-
-
-def _init_worker(cfg_json: str, state_builder) -> None:
     _STATE.clear()
-    _STATE.update(state_builder(CampaignConfig.from_json(json.loads(cfg_json))))
+    _STATE.update(cfg=cfg, model=model,
+                  catalog=shape_catalog(model, cfg.scene_spec.height, cfg.scene_spec.width))
+
+
+def _run_items(cfg: CampaignConfig, items, work) -> list:
+    """Run ``work`` on every item, possibly in a process pool, in item order."""
+    if cfg.workers == 1:
+        _init_worker(cfg)
+        return [work(item) for item in items]
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                             initargs=(cfg,)) as pool:
+        chunk = max(1, len(items) // (cfg.workers * 4))
+        return list(pool.map(work, items, chunksize=chunk))
+
+
+def _generate(generator, cfg: CampaignConfig, *args, **kwargs):
+    """Call a scene or sequence generator; a spec it cannot pack is a config error."""
+    try:
+        return generator(*args, **kwargs)
+    except RuntimeError as exc:
+        raise ConfigError(f"cannot generate scenes for {cfg.scene_spec}: {exc}") from exc
+
+
+def _counts(cfg: CampaignConfig, dets, gts) -> tuple[int, int, int]:
+    """(tp, fp, fn) of one image's detections against its ground truth."""
+    outcome = assign(dets, gts, cfg.iou_threshold, cfg.category_policy)
+    return outcome.tp, outcome.fp, outcome.fn
+
+
+def _score(cfg: CampaignConfig, image_id, counts_orig, orig, corr, gts, dims,
+           nan: bool, inf: bool) -> SdcReport:
+    """Image-wise verdict and severity of one corrupted image against its original."""
+    evaluation = ImageEval(image_id=image_id, counts_orig=counts_orig,
+                           counts_corr=_counts(cfg, corr, gts), inf_flag=inf, nan_flag=nan)
+    return severity(evaluation, orig, corr, gts, dims)
 
 
 def _transient_scene(scene_idx: int) -> dict:
@@ -251,12 +277,12 @@ def _transient_scene(scene_idx: int) -> dict:
     """
     cfg: CampaignConfig = _STATE["cfg"]
     model: DetectorModel = _STATE["model"]
-    scene = generate_scene(cfg.scene_spec, _derive_seed(cfg.seed, _STREAM_SCENE, scene_idx))
+    scene = _generate(generate_scene, cfg, cfg.scene_spec,
+                      _derive_seed(cfg.seed, _STREAM_SCENE, scene_idx))
     golden = infer(model, scene, keep_activations=True)
     gts = scene.ground_truth()
     orig = list(golden.detections)
-    outcome = assign(orig, gts, cfg.iou_threshold, cfg.category_policy)
-    counts_orig = (outcome.tp, outcome.fp, outcome.fn)
+    counts_orig = _counts(cfg, orig, gts)
 
     injections = []
     for index in range(scene_idx, cfg.n_injections, _scene_pool(cfg)):
@@ -265,15 +291,8 @@ def _transient_scene(scene_idx: int) -> dict:
             seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
         corr = infer(model, scene, fault=fault, golden=golden)
         corr_dets = list(corr.detections)
-        outcome = assign(corr_dets, gts, cfg.iou_threshold, cfg.category_policy)
-        evaluation = ImageEval(
-            image_id=scene_idx,
-            counts_orig=counts_orig,
-            counts_corr=(outcome.tp, outcome.fp, outcome.fn),
-            inf_flag=corr.inf_seen,
-            nan_flag=corr.nan_seen,
-        )
-        report = severity(evaluation, orig, corr_dets, gts, (scene.width, scene.height))
+        report = _score(cfg, scene_idx, counts_orig, orig, corr_dets, gts,
+                        (scene.width, scene.height), corr.nan_seen, corr.inf_seen)
         fp_types = fp_type_breakdown(corr_dets, gts, cfg.iou_threshold) \
             if report.verdict == "sdc" else None
         injections.append({
@@ -287,19 +306,6 @@ def _transient_scene(scene_idx: int) -> dict:
     return {"gts": gts, "orig_detections": orig, "injections": injections}
 
 
-def _run_items(cfg: CampaignConfig, items, work, state_builder) -> list:
-    """Run ``work`` on every item, possibly in a process pool, in item order."""
-    if cfg.workers == 1:
-        _STATE.clear()
-        _STATE.update(state_builder(cfg))
-        return [work(item) for item in items]
-    cfg_json = json.dumps(cfg.echo())
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
-                             initargs=(cfg_json, state_builder)) as pool:
-        chunk = max(1, len(items) // (cfg.workers * 4))
-        return list(pool.map(work, items, chunksize=chunk))
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -308,27 +314,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fault_cells(fault_json: dict | None) -> list[str]:
+    """The fault's CSV cells; blank for ingested images, which name no fault."""
+    if fault_json is None:
+        return [""] * len(_FAULT_COLUMNS)
+    cells = dict(fault_json, coords=";".join(str(c) for c in fault_json["coords"]))
+    return [_fmt(cells[column]) for column in _FAULT_COLUMNS]
+
+
 def _csv_row(injection_id, fault_json, image_id, report: SdcReport) -> list[str]:
-    fault_json = fault_json or {}
-    coords = fault_json.get("coords")
-    return [
-        _fmt(injection_id),
-        _fmt(fault_json.get("target")),
-        _fmt(fault_json.get("layer")),
-        ";".join(str(c) for c in coords) if coords is not None else "",
-        _fmt(fault_json.get("bit")),
-        _fmt(fault_json.get("mode")),
-        _fmt(image_id),
-        report.verdict,
-        _fmt(report.delta_fp),
-        _fmt(report.delta_fn_n),
-        _fmt(report.avg_conf_orig),
-        _fmt(report.avg_conf_corr),
-        _fmt(report.avg_size_orig),
-        _fmt(report.avg_size_corr),
-        _fmt(report.a_fp_occ),
-        _fmt(report.a_fn_vac),
-    ]
+    return [_fmt(injection_id), *_fault_cells(fault_json), _fmt(image_id),
+            *(_fmt(getattr(report, name)) for name in _REPORT_COLUMNS)]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -352,39 +348,40 @@ def write_pgm(mask: np.ndarray, path) -> None:
         handle.write((mask.astype(np.uint8) * 255).tobytes())
 
 
-def _mean(values) -> float | None:
-    values = [v for v in values if v is not None]
-    return sum(values) / len(values) if values else None
-
-
 def _kilo_pixels(value: float | None) -> float | None:
     return value * 1e-3 if value is not None else None
 
 
-def _severity_summary(reports: list[SdcReport]) -> dict:
-    """Table-style severity means over the SDC events of a campaign.
+def _summary(reports: list[SdcReport], gts_by_image, orig_by_image, corr_by_image) -> dict:
+    """Verdict rates, SDC severity means and AP of a set of scored images.
 
-    Box sizes are reported in thousands of square pixels.
+    Each rate is its own count over n, so the three need not sum to exactly
+    1 in floating point. Box sizes are in thousands of square pixels.
     """
+    n = len(reports)
+    verdicts = [r.verdict for r in reports]
     sdc = [r for r in reports if r.verdict == "sdc"]
     return {
-        "n_sdc_events": len(sdc),
-        "mean_delta_fp": _mean(r.delta_fp for r in sdc),
-        "mean_delta_fn_n": _mean(r.delta_fn_n for r in sdc),
-        "avg_conf_orig": _mean(r.avg_conf_orig for r in sdc),
-        "avg_conf_corr": _mean(r.avg_conf_corr for r in sdc),
-        "avg_size_kpx_orig": _kilo_pixels(_mean(r.avg_size_orig for r in sdc)),
-        "avg_size_kpx_corr": _kilo_pixels(_mean(r.avg_size_corr for r in sdc)),
-        "mean_a_fp_occ": _mean(r.a_fp_occ for r in sdc),
-        "mean_a_fn_vac": _mean(r.a_fn_vac for r in sdc),
+        "rates": {verdict: verdicts.count(verdict) / n for verdict in ("sdc", "due", "benign")},
+        "severity_over_sdc": {
+            "n_sdc_events": len(sdc),
+            "mean_delta_fp": _mean(r.delta_fp for r in sdc),
+            "mean_delta_fn_n": _mean(r.delta_fn_n for r in sdc),
+            "avg_conf_orig": _mean(r.avg_conf_orig for r in sdc),
+            "avg_conf_corr": _mean(r.avg_conf_corr for r in sdc),
+            "avg_size_kpx_orig": _kilo_pixels(_mean(r.avg_size_orig for r in sdc)),
+            "avg_size_kpx_corr": _kilo_pixels(_mean(r.avg_size_corr for r in sdc)),
+            "mean_a_fp_occ": _mean(r.a_fp_occ for r in sdc),
+            "mean_a_fn_vac": _mean(r.a_fn_vac for r in sdc),
+        },
+        "ap": {
+            name: {
+                "ap50": ap_mod.average_precision(dets_by_image, gts_by_image, 0.5).mean,
+                "map": ap_mod.mean_average_precision(dets_by_image, gts_by_image),
+            }
+            for name, dets_by_image in (("orig", orig_by_image), ("corr", corr_by_image))
+        },
     }
-
-
-def _bit_average_table(pairs) -> dict:
-    from odfault.metrics import bit_averaged
-
-    table = bit_averaged(pairs)
-    return {str(bit): stats for bit, stats in table.items()}
 
 
 def run_transient(cfg: CampaignConfig, out_dir) -> dict:
@@ -392,18 +389,9 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
     if cfg.mode != "transient":
         raise ConfigError(f"run_transient got a {cfg.mode!r} config")
     os.makedirs(out_dir, exist_ok=True)
-    scenes = _run_items(cfg, range(_scene_pool(cfg)), _transient_scene, _model_state)
+    scenes = _run_items(cfg, range(_scene_pool(cfg)), _transient_scene)
     results = sorted((r for scene in scenes for r in scene["injections"]),
                      key=lambda r: r["injection_id"])
-
-    reports = [r["report"] for r in results]
-    verdicts = [r.verdict for r in reports]
-    n = len(results)
-    rates = {
-        "sdc": verdicts.count("sdc") / n,
-        "due": verdicts.count("due") / n,
-        "benign": verdicts.count("benign") / n,
-    }
 
     pairs = [(FaultDescriptor.from_json(r["fault"]), r["report"]) for r in results]
     fp_types_total = {"class_only": 0, "box_only": 0, "both_or_unmatched": 0}
@@ -413,45 +401,29 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
                 fp_types_total[key] += r["fp_types"][key]
 
     # AP on the fault-free and corrupted corpora (one image per injection)
-    gts_by_image = {}
-    orig_by_image = {}
-    corr_by_image = {}
-    for r in results:
-        scene = scenes[r["image_id"]]
-        key = r["injection_id"]
-        gts_by_image[key] = scene["gts"]
-        orig_by_image[key] = scene["orig_detections"]
-        corr_by_image[key] = r["corr_detections"]
-    ap_summary = {
-        "orig": {
-            "ap50": ap_mod.average_precision(orig_by_image, gts_by_image, 0.5).mean,
-            "map": ap_mod.mean_average_precision(orig_by_image, gts_by_image),
-        },
-        "corr": {
-            "ap50": ap_mod.average_precision(corr_by_image, gts_by_image, 0.5).mean,
-            "map": ap_mod.mean_average_precision(corr_by_image, gts_by_image),
-        },
-    }
+    summary = _summary(
+        [r["report"] for r in results],
+        {r["injection_id"]: scenes[r["image_id"]]["gts"] for r in results},
+        {r["injection_id"]: scenes[r["image_id"]]["orig_detections"] for r in results},
+        {r["injection_id"]: r["corr_detections"] for r in results})
 
     csv_rows = [_csv_row(r["injection_id"], r["fault"], r["image_id"], r["report"])
                 for r in results]
     _write_csv(os.path.join(out_dir, "injections.csv"), CSV_COLUMNS, csv_rows)
 
-    bit_table = _bit_average_table(pairs)
+    bit_table = bit_averaged(pairs)  # ascending bits
     bit_rows = [
         (bit, stats["count"], _fmt(stats["mean_delta_fp"]), _fmt(stats["mean_delta_fn_n"]))
-        for bit, stats in sorted(bit_table.items(), key=lambda kv: int(kv[0]))
+        for bit, stats in bit_table.items()
     ]
     _write_csv(os.path.join(out_dir, "bit_averages.csv"),
                ("bit", "n_sdc", "mean_delta_fp", "mean_delta_fn_n"), bit_rows)
 
     report = {
         "config": cfg.echo(),
-        "rates": rates,
-        "severity_over_sdc": _severity_summary(reports),
+        **summary,
         "fp_types_over_sdc": fp_types_total,
-        "bit_averages": bit_table,
-        "ap": ap_summary,
+        "bit_averages": {str(bit): stats for bit, stats in bit_table.items()},
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
     return report
@@ -465,15 +437,6 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
 _PERMANENT_CHUNK = 32
 
 
-def _permanent_state(cfg: CampaignConfig) -> dict:
-    state = _model_state(cfg)
-    state["frames"] = generate_sequence(_derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
-                                        n_frames=cfg.n_frames,
-                                        width=cfg.scene_spec.width,
-                                        height=cfg.scene_spec.height)
-    return state
-
-
 def _permanent_chunks(cfg: CampaignConfig) -> list[range]:
     size = min(_PERMANENT_CHUNK, math.ceil(cfg.n_injections / cfg.workers))
     return [range(start, min(start + size, cfg.n_injections))
@@ -485,12 +448,18 @@ def _permanent_chunk(indices: range) -> list[dict]:
 
     Frames form the outer loop: each frame's golden pass is built once and
     every injection of the chunk resumes from it, so a process holds one
-    golden activation set at a time. The first ``emit_masks`` injections
-    of the chunk that persist at the lowest severity level keep their FP
-    tracker masks for the PGM output.
+    golden activation set at a time. The first chunk a process runs
+    generates the sequence, not the pool initializer, whose errors would
+    break the pool instead of reaching the caller. The first
+    ``emit_masks`` injections of the chunk that persist at the lowest
+    severity level keep their FP tracker masks for the PGM output.
     """
     cfg: CampaignConfig = _STATE["cfg"]
     model: DetectorModel = _STATE["model"]
+    if "frames" not in _STATE:
+        _STATE["frames"] = _generate(
+            generate_sequence, cfg, _derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
+            n_frames=cfg.n_frames, width=cfg.scene_spec.width, height=cfg.scene_spec.height)
     frames: list[Scene] = _STATE["frames"]
     faults = [
         sample_fault(_STATE["catalog"], FaultTarget(cfg.target), "exponent_only",
@@ -545,7 +514,7 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
     if cfg.mode != "permanent":
         raise ConfigError(f"run_permanent got a {cfg.mode!r} config")
     os.makedirs(out_dir, exist_ok=True)
-    chunks = _run_items(cfg, _permanent_chunks(cfg), _permanent_chunk, _permanent_state)
+    chunks = _run_items(cfg, _permanent_chunks(cfg), _permanent_chunk)
     results = [r for chunk in chunks for r in chunk]
     n = len(results)
 
@@ -575,14 +544,12 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
 
     level_names = [f"fp_sdc_at_{level}" for level in cfg.severity_levels] + \
                   [f"fn_sdc_at_{level}" for level in cfg.severity_levels]
-    header = ("injection_id", "target", "layer", "coords", "bit", "mode",
+    header = ("injection_id", *_FAULT_COLUMNS,
               *level_names, "mean_fp_occ", "mean_fn_vac", "due_frames")
     rows = []
     for r in results:
-        fault = r["fault"]
         rows.append([
-            r["injection_id"], fault["target"], fault["layer"],
-            ";".join(str(c) for c in fault["coords"]), fault["bit"], fault["mode"],
+            r["injection_id"], *_fault_cells(r["fault"]),
             *[int(r["fp_levels"][lv]) for lv in cfg.severity_levels],
             *[int(r["fn_levels"][lv]) for lv in cfg.severity_levels],
             _fmt(r["mean_fp_occ"]), _fmt(r["mean_fn_vac"]), r["due_frames"],
@@ -614,7 +581,6 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
     _write_json(os.path.join(out_dir, "report.json"), report)
     return report
 
-
 # ---------------------------------------------------------------------------
 # ingestion
 
@@ -645,53 +611,25 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
         if (orig.width, orig.height) != (corr.width, corr.height):
             raise DataError(f"image {image_id!r}: dimensions differ between files")
         gts = list(orig.ground_truth)
-        out_orig = assign(list(orig.detections), gts, cfg.iou_threshold, cfg.category_policy)
-        out_corr = assign(list(corr.detections), gts, cfg.iou_threshold, cfg.category_policy)
-        evaluation = ImageEval(
-            image_id=image_id,
-            counts_orig=(out_orig.tp, out_orig.fp, out_orig.fn),
-            counts_corr=(out_corr.tp, out_corr.fp, out_corr.fn),
-            inf_flag=corr.inf_flag,
-            nan_flag=corr.nan_flag,
-        )
-        report = severity(evaluation, list(orig.detections), list(corr.detections),
-                          gts, (orig.width, orig.height))
+        orig_dets = list(orig.detections)
+        corr_dets = list(corr.detections)
+        report = _score(cfg, image_id, _counts(cfg, orig_dets, gts), orig_dets, corr_dets,
+                        gts, (orig.width, orig.height), corr.nan_flag, corr.inf_flag)
         reports.append(report)
         rows.append(_csv_row("", None, image_id, report))
         gts_by_image[image_id] = gts
-        orig_by_image[image_id] = list(orig.detections)
-        corr_by_image[image_id] = list(corr.detections)
-
-    n = len(reports)
-    verdicts = [r.verdict for r in reports]
-    rates = {
-        "sdc": verdicts.count("sdc") / n,
-        "due": verdicts.count("due") / n,
-        "benign": verdicts.count("benign") / n,
-    }
-    ap_summary = {
-        "orig": {
-            "ap50": ap_mod.average_precision(orig_by_image, gts_by_image, 0.5).mean,
-            "map": ap_mod.mean_average_precision(orig_by_image, gts_by_image),
-        },
-        "corr": {
-            "ap50": ap_mod.average_precision(corr_by_image, gts_by_image, 0.5).mean,
-            "map": ap_mod.mean_average_precision(corr_by_image, gts_by_image),
-        },
-    }
-    ap_summary["delta"] = {
-        "ap50": ap_summary["corr"]["ap50"] - ap_summary["orig"]["ap50"],
-        "map": ap_summary["corr"]["map"] - ap_summary["orig"]["map"],
-    }
+        orig_by_image[image_id] = orig_dets
+        corr_by_image[image_id] = corr_dets
 
     _write_csv(os.path.join(out_dir, "images.csv"), CSV_COLUMNS, rows)
     report = {
         "config": cfg.echo(),
-        "n_images": n,
-        "rates": rates,
-        "severity_over_sdc": _severity_summary(reports),
-        "ap": ap_summary,
+        "n_images": len(reports),
+        **_summary(reports, gts_by_image, orig_by_image, corr_by_image),
     }
+    ap_summary = report["ap"]
+    ap_summary["delta"] = {key: ap_summary["corr"][key] - ap_summary["orig"][key]
+                           for key in ("ap50", "map")}
     _write_json(os.path.join(out_dir, "report.json"), report)
     return report
 

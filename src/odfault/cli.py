@@ -79,14 +79,9 @@ def _load_config(args, mode) -> CampaignConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    overrides = {"mode": mode, "seed": args.seed}
-    for key in ("n_injections", "target", "workers", "bit_policy", "emit_masks"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    if getattr(args, "n_frames", None) is not None:
-        base.setdefault("sequence", {})
-        base["sequence"]["n_frames"] = args.n_frames
-    return CampaignConfig.from_json(base, **overrides)
+    overrides = {key: getattr(args, key, None) for key in
+                 ("n_injections", "target", "workers", "bit_policy", "n_frames", "emit_masks")}
+    return CampaignConfig.from_json(base, mode=mode, seed=args.seed, **overrides)
 
 
 def main(argv=None) -> int:

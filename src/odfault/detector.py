@@ -188,6 +188,8 @@ def generate_sequence(seed, n_frames: int = 60, width: int = 64, height: int = 6
         if row + h > height - 3:
             break
         w = int(rng.integers(10, 16))
+        if width - w - 1 <= 2:  # no room for the lane's object to start
+            break
         category = int(rng.integers(0, len(CATEGORY_INTENSITIES)))
         x = int(rng.integers(2, width - w - 1))
         velocity = int(rng.choice([-3, -2, -1, 1, 2, 3]))

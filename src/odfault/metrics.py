@@ -96,7 +96,8 @@ def rates(evals: list[ImageEval]) -> tuple[float, float]:
 
 
 def _mean(values) -> float | None:
-    values = list(values)
+    """Mean of the values that are not None; None when none are left."""
+    values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else None
 
 
@@ -157,11 +158,10 @@ def bit_averaged(reports) -> dict[int, dict[str, float | int | None]]:
     out = {}
     for bit in sorted(groups):
         rs = groups[bit]
-        defined_fn = [r.delta_fn_n for r in rs if r.delta_fn_n is not None]
         out[bit] = {
             "count": len(rs),
-            "mean_delta_fp": sum(r.delta_fp for r in rs) / len(rs),
-            "mean_delta_fn_n": _mean(defined_fn),
+            "mean_delta_fp": _mean(r.delta_fp for r in rs),
+            "mean_delta_fn_n": _mean(r.delta_fn_n for r in rs),
         }
     return out
 

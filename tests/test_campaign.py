@@ -6,6 +6,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -53,6 +54,68 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CampaignConfig.from_json({"mode": "permanent", "seed": 1,
                                   "sequence": {"n_frames": 10}})  # shorter than tracker n
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"scene": None},
+    {"sequence": None},
+    {"category_policy": None},
+    {"tracker": "x"},
+])
+def test_config_rejects_non_object_sections(doc):
+    with pytest.raises(ConfigError, match="JSON object"):
+        CampaignConfig.from_json(doc, seed=1)
+
+
+@pytest.mark.parametrize("doc", [
+    {"scene": {"pool": 0}},
+    {"iou_threshold": "nan"},
+    {"iou_threshold": 7},
+    {"iou_threshold": 0},
+])
+def test_config_rejects_out_of_range_values(doc):
+    with pytest.raises(ConfigError):
+        CampaignConfig.from_json(doc, seed=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("runner, doc", [
+    (run_transient, {"mode": "transient", "scene": {"width": 20, "height": 20}}),
+    (run_permanent, {"mode": "permanent", "scene": {"height": 12}}),
+    (run_permanent, {"mode": "permanent", "scene": {"width": 16}}),
+])
+def test_unpackable_scene_is_config_error(tmp_path, runner, doc, workers):
+    cfg = CampaignConfig.from_json(dict(doc, seed=1, n_injections=2, workers=workers))
+    with pytest.raises(ConfigError, match="SceneSpec"):
+        runner(cfg, tmp_path)
+
+
+def _leaves(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def test_config_echo_reproduces_campaign():
+    cfg = CampaignConfig.from_json({
+        "mode": "permanent", "seed": 7, "n_injections": 9, "target": "weight",
+        "bit_policy": "exponent_only", "workers": 3, "iou_threshold": 0.35,
+        "scene": {"width": 80, "height": 72, "object_count": [1, 3], "size_range": [9, 14],
+                  "pool": 17, "fixed": True},
+        "sequence": {"n_frames": 40},
+        "tracker": {"m": 3, "n": 5, "vicinity_px": 20, "fp_coasting": False},
+        "severity_levels": [0.2, 0.01],
+        "category_policy": {"mode": "clusters", "clusters": [[3, 1], [2]]},
+        "emit_masks": 4,
+    })
+    default = dict(_leaves(CampaignConfig(seed=0).echo()))
+    assert all(default[key] != value for key, value in _leaves(cfg.echo()))
+    assert cfg.workers != CampaignConfig(seed=0).workers
+    assert CampaignConfig.from_json(cfg.echo()) == replace(cfg, workers=1)
+    assert CampaignConfig.from_json(json.loads(json.dumps(cfg.echo()))) == replace(cfg, workers=1)
 
 
 def test_transient_report_shape(tmp_path):
@@ -301,6 +364,21 @@ def test_cli_transient_and_exit_codes(tmp_path):
     result = _run_cli(["transient", "--seed", "1", "--n-injections", "0",
                        "--out", str(tmp_path / "y")])
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["transient"], {"tracker": "x"}),
+    (["permanent", "--n-frames", "20"], [1, 2]),
+    (["permanent", "--n-frames", "20"], {"sequence": None}),
+    (["transient", "--workers", "2"], {"scene": {"width": 20, "height": 20}}),
+])
+def test_cli_malformed_config_exit_code(tmp_path, command, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    result = _run_cli([*command, "--config", str(cfg_path), "--seed", "1",
+                       "--n-injections", "2", "--out", str(tmp_path / "out")])
+    assert result.returncode == 2
+    assert "config error" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_cli_ingest_data_error_exit_code(tmp_path):
