@@ -8,7 +8,6 @@ rescaled by 8/32 when quoting probabilities for uniform 32-bit sampling.
 import numpy as np
 
 from odfault.bits import (
-    BF16,
     FP32,
     FaultMode,
     apply_fault,
@@ -40,10 +39,10 @@ def main():
     nan_source = FP32.from_bits(0x7F7FFFFF)  # float32 max
     describe(nan_source, 23, FaultMode.STUCK_AT_1)
 
-    print("\nbrain-float shares the exponent width, so MSB flips behave alike:")
-    result = apply_fault(1.0, 14, FaultMode.TRANSIENT_FLIP, fmt=BF16)
-    print(f"  bf16: 1.0 with exponent MSB flipped -> {float(result)} "
-          f"[{classify_value(result, fmt=BF16)}]")
+    print("\nan exponent MSB flip scales a value below 1 in magnitude by 2**128;")
+    print("from 1 up to 2 it sets every exponent bit, giving inf or NaN:")
+    for x in (0.01, -0.3, 1.5):
+        describe(np.float32(x), 30, FaultMode.TRANSIENT_FLIP)
 
     print("\nexponent-only campaign rates quoted for uniform 32-bit sampling:")
     for rate in (0.96, 0.12):

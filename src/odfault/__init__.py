@@ -1,7 +1,6 @@
 """Fault injection and image-wise vulnerability measurement for object detection."""
 
 from odfault.bits import (
-    BF16,
     FP32,
     FaultDescriptor,
     FaultMode,
@@ -17,7 +16,6 @@ from odfault.geometry import Box, Detection, clip, iou, mask_diff, nms, rasteriz
 __version__ = "0.1.0"
 
 __all__ = [
-    "BF16",
     "FP32",
     "FaultDescriptor",
     "FaultMode",

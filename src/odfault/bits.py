@@ -1,10 +1,8 @@
-"""Bit-exact fault models for IEEE-754 floating point values.
+"""Bit-exact fault models for IEEE-754 single precision values.
 
 Transient single-bit flips and permanent stuck-at-0/1 faults are applied
-directly to the raw bit pattern of a value, never to its decoded numeric
+directly to the raw 32-bit pattern of a value, never to its decoded numeric
 form, so NaN payloads and signed zeros survive corruption unchanged.
-Supports 32-bit single precision and the 16-bit brain float layout
-(same exponent width, shorter mantissa).
 """
 
 from __future__ import annotations
@@ -15,82 +13,46 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "FloatFormat",
     "FP32",
-    "BF16",
     "FaultMode",
     "FaultDescriptor",
     "ShapeCatalog",
     "apply_fault_bits",
     "apply_fault",
     "classify_value",
-    "classify_bits",
     "sample_fault",
     "rescale_rate",
     "EXPONENT_RESCALE_FACTOR",
 ]
 
 
-@dataclass(frozen=True)
-class FloatFormat:
-    """Bit layout of a binary floating point format.
+class FP32:
+    """Bit layout of IEEE-754 single precision.
 
-    Bit indices count from the LSB: the sign bit is ``width - 1``, the
-    exponent field sits directly below it, the mantissa fills the rest.
+    Bit indices count from the LSB: bit 31 is the sign, bits 30..23 the
+    exponent, bits 22..0 the mantissa.
     """
 
-    name: str
-    width: int
-    exponent_width: int
+    width = 32
+    exponent_high = 30
+    exponent_low = 23
+    exponent_mask = 0x7F800000
+    mantissa_mask = 0x007FFFFF
 
-    @property
-    def sign_bit(self) -> int:
-        return self.width - 1
+    @staticmethod
+    def to_bits(value) -> int:
+        """Raw bit pattern of ``value`` as a float32."""
+        return int(np.float32(value).view(np.uint32))
 
-    @property
-    def exponent_high(self) -> int:
-        """Index of the exponent MSB (bit 30 for 32-bit values)."""
-        return self.width - 2
-
-    @property
-    def exponent_low(self) -> int:
-        return self.width - 1 - self.exponent_width
-
-    @property
-    def exponent_mask(self) -> int:
-        return ((1 << self.exponent_width) - 1) << self.exponent_low
-
-    @property
-    def mantissa_mask(self) -> int:
-        return (1 << self.exponent_low) - 1
-
-    def is_exponent_bit(self, bit: int) -> bool:
-        return self.exponent_low <= bit <= self.exponent_high
-
-    def to_bits(self, value) -> int:
-        """Raw bit pattern of ``value`` in this format.
-
-        32-bit values round-trip exactly; 16-bit patterns are the top half
-        of the single-precision pattern (truncation, no rounding).
-        """
-        pattern = int(np.float32(value).view(np.uint32))
-        if self.width == 32:
-            return pattern
-        return pattern >> 16
-
-    def from_bits(self, pattern: int) -> np.float32:
-        if not 0 <= pattern < (1 << self.width):
-            raise ValueError(f"pattern {pattern:#x} out of range for {self.name}")
-        if self.width == 16:
-            pattern = pattern << 16
+    @staticmethod
+    def from_bits(pattern: int) -> np.float32:
+        if not 0 <= pattern < (1 << FP32.width):
+            raise ValueError(f"pattern {pattern:#x} out of range for fp32")
         return np.uint32(pattern).view(np.float32)
 
 
-FP32 = FloatFormat("fp32", width=32, exponent_width=8)
-BF16 = FloatFormat("bf16", width=16, exponent_width=8)
-
 # Fraction of 32-bit positions that lie in the exponent field.
-EXPONENT_RESCALE_FACTOR = FP32.exponent_width / FP32.width
+EXPONENT_RESCALE_FACTOR = (FP32.exponent_high - FP32.exponent_low + 1) / FP32.width
 
 
 class FaultMode(str, Enum):
@@ -164,12 +126,12 @@ class ShapeCatalog:
         return self.weight_shapes
 
 
-def apply_fault_bits(pattern: int, bit: int, mode: FaultMode, fmt: FloatFormat = FP32) -> int:
+def apply_fault_bits(pattern: int, bit: int, mode: FaultMode) -> int:
     """Corrupt one bit of a raw pattern; all other bits are untouched."""
-    if not 0 <= bit < fmt.width:
-        raise ValueError(f"bit index {bit} out of range for {fmt.name}")
-    if not 0 <= pattern < (1 << fmt.width):
-        raise ValueError(f"pattern {pattern:#x} out of range for {fmt.name}")
+    if not 0 <= bit < FP32.width:
+        raise ValueError(f"bit index {bit} out of range for fp32")
+    if not 0 <= pattern < (1 << FP32.width):
+        raise ValueError(f"pattern {pattern:#x} out of range for fp32")
     mask = 1 << bit
     if mode == FaultMode.TRANSIENT_FLIP:
         return pattern ^ mask
@@ -180,29 +142,25 @@ def apply_fault_bits(pattern: int, bit: int, mode: FaultMode, fmt: FloatFormat =
     raise ValueError(f"unknown fault mode {mode!r}")
 
 
-def apply_fault(value, bit: int, mode: FaultMode, fmt: FloatFormat = FP32) -> np.float32:
+def apply_fault(value, bit: int, mode: FaultMode) -> np.float32:
     """Return ``value`` with one bit corrupted.
 
     The result is the exact reinterpretation of the modified pattern:
     NaN and Inf outcomes are returned as-is, never sanitized.
     """
-    return fmt.from_bits(apply_fault_bits(fmt.to_bits(value), bit, mode, fmt))
+    return FP32.from_bits(apply_fault_bits(FP32.to_bits(value), bit, mode))
 
 
-def classify_bits(pattern: int, fmt: FloatFormat = FP32) -> str:
-    exponent = pattern & fmt.exponent_mask
-    if exponent != fmt.exponent_mask:
-        return "regular"
-    return "inf" if (pattern & fmt.mantissa_mask) == 0 else "nan"
-
-
-def classify_value(value, fmt: FloatFormat = FP32) -> str:
+def classify_value(value) -> str:
     """Classify a value as ``regular``, ``inf`` or ``nan``.
 
     Inf means all exponent bits set with a zero mantissa, NaN the same with
     a nonzero mantissa. Zeros and subnormals are regular.
     """
-    return classify_bits(fmt.to_bits(value), fmt)
+    pattern = FP32.to_bits(value)
+    if (pattern & FP32.exponent_mask) != FP32.exponent_mask:
+        return "regular"
+    return "inf" if (pattern & FP32.mantissa_mask) == 0 else "nan"
 
 
 _BIT_POLICIES = ("all_32", "exponent_only", "mantissa_only")
@@ -214,7 +172,6 @@ def sample_fault(
     bit_policy: str,
     seed,
     mode: FaultMode = FaultMode.TRANSIENT_FLIP,
-    fmt: FloatFormat = FP32,
 ) -> FaultDescriptor:
     """Draw a uniform random fault location: layer, coordinates, bit.
 
@@ -232,11 +189,11 @@ def sample_fault(
     layer = int(rng.integers(0, len(shapes)))
     coords = tuple(int(rng.integers(0, extent)) for extent in shapes[layer])
     if bit_policy == "all_32":
-        bit = int(rng.integers(0, fmt.width))
+        bit = int(rng.integers(0, FP32.width))
     elif bit_policy == "exponent_only":
-        bit = int(rng.integers(fmt.exponent_low, fmt.exponent_high + 1))
+        bit = int(rng.integers(FP32.exponent_low, FP32.exponent_high + 1))
     else:
-        bit = int(rng.integers(0, fmt.exponent_low))
+        bit = int(rng.integers(0, FP32.exponent_low))
     return FaultDescriptor(target, layer, coords, bit, FaultMode(mode))
 
 

@@ -4,13 +4,13 @@ and the synthetic PR experiment, with CSV/JSON/PGM reporting.
 Every campaign is driven by a single config (JSON document or
 ``CampaignConfig``) whose seed fully determines the outcome: scenes, frame
 sequences and faults derive their randomness from ``(seed, stream,
-index)``, workers receive the frozen config and split the work (transient
-by scene, permanent by injection chunk), and results are reduced in
-injection order, so a re-run at any worker count produces byte-identical
-reports. The ``config`` echo in each report is a document that reproduces
-the campaign. Faulty inferences resume from the golden trace of their
-scene or frame (see ``detector.infer``); a process holds one golden trace
-at a time.
+index)``, each work item (a transient scene, a permanent injection chunk)
+is a function of the config, the model and the item alone, and results
+are reduced in injection order, so a re-run at any worker count produces
+byte-identical reports. The ``config`` echo in each report is a document
+that reproduces the campaign. Faulty inferences resume from the golden
+trace of their scene or frame (see ``detector.infer``); a process holds
+one golden trace at a time.
 
 Transient injections and ingested record pairs share one image-wise
 scoring (``_score``) and one summary of rates, SDC severity and AP
@@ -25,7 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -34,12 +34,12 @@ from odfault.bits import (
     FaultDescriptor,
     FaultMode,
     FaultTarget,
+    ShapeCatalog,
     rescale_rate,
     sample_fault,
 )
 from odfault.detector import (
     DetectorModel,
-    Scene,
     SceneSpec,
     generate_scene,
     generate_sequence,
@@ -115,6 +115,8 @@ class CampaignConfig:
             raise ConfigError(f"unknown bit policy {self.bit_policy!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.emit_masks < 0:
+            raise ConfigError("emit_masks must not be negative")
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ConfigError(f"iou_threshold must lie in (0, 1], got {self.iou_threshold}")
         if self.scene_pool < 1:
@@ -124,10 +126,7 @@ class CampaignConfig:
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
         # sorted unique floats, so the lowest level is [0] and report keys
         # read "0.0" whether the config said 0 or 0.0
-        try:
-            levels = tuple(sorted({float(level) for level in self.severity_levels}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"severity levels must be numbers: {exc}") from exc
+        levels = tuple(sorted({float(level) for level in self.severity_levels}))
         if not levels:
             raise ConfigError("severity_levels must not be empty")
         if not all(0.0 <= level < math.inf for level in levels):
@@ -156,7 +155,10 @@ class CampaignConfig:
                 else:
                     continue
                 owner, _, attr = name.rpartition(".")
-                values.setdefault(owner, {})[attr] = parse(value)
+                try:
+                    values.setdefault(owner, {})[attr] = parse(value)
+                except TypeError as exc:
+                    raise ConfigError(f"{section or 'config'} key {key!r}: {exc}") from exc
             kwargs = values.pop("", {})
             for owner, nested in values.items():
                 kwargs[owner] = _NESTED[owner](**nested)
@@ -176,8 +178,24 @@ class CampaignConfig:
         return doc
 
 
+def _json(kind):
+    """Parser that accepts JSON values of ``kind`` and never coerces one:
+    ``"false"`` is not a bool, and ``2.9``, ``"2"`` and ``true`` are not
+    ints. An int passes as a float; ``[kind]`` is an array, kept as a tuple.
+    """
+    def parse(value):
+        if isinstance(kind, list):
+            return tuple(_json(kind[0])(item) for item in _json(list)(value))
+        if kind is float and type(value) is int:
+            return float(value)
+        if type(value) is not kind:
+            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return value
+    return parse
+
+
 def _clusters(groups) -> tuple[frozenset, ...]:
-    return tuple(frozenset(group) for group in groups)
+    return tuple(frozenset(group) for group in _json([[int]])(groups))
 
 
 def _json_value(value):
@@ -192,59 +210,51 @@ def _json_value(value):
 # parser). Section "" is the top level; a dotted field belongs to the
 # nested dataclass named before the dot (see _NESTED).
 _CONFIG_FIELDS = (
-    ("", "mode", "mode", str),
-    ("", "seed", "seed", int),
-    ("", "n_injections", "n_injections", int),
-    ("", "target", "target", str),
-    ("", "bit_policy", "bit_policy", str),
-    ("", "workers", "workers", int),
-    ("", "iou_threshold", "iou_threshold", float),
-    ("scene", "width", "scene_spec.width", int),
-    ("scene", "height", "scene_spec.height", int),
-    ("scene", "object_count", "scene_spec.object_count", tuple),
-    ("scene", "size_range", "scene_spec.size_range", tuple),
-    ("scene", "pool", "scene_pool", int),
-    ("scene", "fixed", "fixed_scene", bool),
-    ("sequence", "n_frames", "n_frames", int),
-    ("tracker", "m", "tracker.m", int),
-    ("tracker", "n", "tracker.n", int),
-    ("tracker", "vicinity_px", "tracker.vicinity_px", int),
-    ("tracker", "fp_coasting", "tracker.coasting", bool),
-    ("", "severity_levels", "severity_levels", tuple),
-    ("category_policy", "mode", "category_policy.mode", str),
+    ("", "mode", "mode", _json(str)),
+    ("", "seed", "seed", _json(int)),
+    ("", "n_injections", "n_injections", _json(int)),
+    ("", "target", "target", _json(str)),
+    ("", "bit_policy", "bit_policy", _json(str)),
+    ("", "workers", "workers", _json(int)),
+    ("", "iou_threshold", "iou_threshold", _json(float)),
+    ("scene", "width", "scene_spec.width", _json(int)),
+    ("scene", "height", "scene_spec.height", _json(int)),
+    ("scene", "object_count", "scene_spec.object_count", _json([int])),
+    ("scene", "size_range", "scene_spec.size_range", _json([int])),
+    ("scene", "pool", "scene_pool", _json(int)),
+    ("scene", "fixed", "fixed_scene", _json(bool)),
+    ("sequence", "n_frames", "n_frames", _json(int)),
+    ("tracker", "m", "tracker.m", _json(int)),
+    ("tracker", "n", "tracker.n", _json(int)),
+    ("tracker", "vicinity_px", "tracker.vicinity_px", _json(int)),
+    ("tracker", "fp_coasting", "tracker.coasting", _json(bool)),
+    ("", "severity_levels", "severity_levels", _json([float])),
+    ("category_policy", "mode", "category_policy.mode", _json(str)),
     ("category_policy", "clusters", "category_policy.clusters", _clusters),
-    ("", "emit_masks", "emit_masks", int),
+    ("", "emit_masks", "emit_masks", _json(int)),
 )
 
 _NESTED = {"scene_spec": SceneSpec, "tracker": TrackerConfig, "category_policy": CategoryPolicy}
-
-
-# ---------------------------------------------------------------------------
-# shared per-worker state (built once per process by the pool initializer)
-
-_STATE: dict = {}
 
 
 def _scene_pool(cfg: CampaignConfig) -> int:
     return 1 if cfg.fixed_scene else min(cfg.n_injections, cfg.scene_pool)
 
 
-def _init_worker(cfg: CampaignConfig) -> None:
-    model = reference_model()
-    _STATE.clear()
-    _STATE.update(cfg=cfg, model=model,
-                  catalog=shape_catalog(model, cfg.scene_spec.height, cfg.scene_spec.width))
-
-
 def _run_items(cfg: CampaignConfig, items, work) -> list:
-    """Run ``work`` on every item, possibly in a process pool, in item order."""
+    """``work(cfg, model, catalog, item)`` for every item, in item order.
+
+    The model and its shape catalogue are built once and passed to every
+    item, inline at one worker and pickled to a process pool otherwise.
+    """
+    model = reference_model()
+    run = partial(work, cfg, model,
+                  shape_catalog(model, cfg.scene_spec.height, cfg.scene_spec.width))
     if cfg.workers == 1:
-        _init_worker(cfg)
-        return [work(item) for item in items]
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
-                             initargs=(cfg,)) as pool:
+        return [run(item) for item in items]
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         chunk = max(1, len(items) // (cfg.workers * 4))
-        return list(pool.map(work, items, chunksize=chunk))
+        return list(pool.map(run, items, chunksize=chunk))
 
 
 def _generate(generator, cfg: CampaignConfig, *args, **kwargs):
@@ -269,14 +279,13 @@ def _score(cfg: CampaignConfig, image_id, counts_orig, orig, corr, gts, dims,
     return severity(evaluation, orig, corr, gts, dims)
 
 
-def _transient_scene(scene_idx: int) -> dict:
+def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCatalog,
+                     scene_idx: int) -> dict:
     """One scene's golden pass and every injection that lands on it.
 
     Injection ``i`` runs on scene ``i mod pool``. Only this scene's golden
     activations are held, so a process keeps one golden set at a time.
     """
-    cfg: CampaignConfig = _STATE["cfg"]
-    model: DetectorModel = _STATE["model"]
     scene = _generate(generate_scene, cfg, cfg.scene_spec,
                       _derive_seed(cfg.seed, _STREAM_SCENE, scene_idx))
     golden = infer(model, scene, keep_activations=True)
@@ -287,7 +296,7 @@ def _transient_scene(scene_idx: int) -> dict:
     injections = []
     for index in range(scene_idx, cfg.n_injections, _scene_pool(cfg)):
         fault = sample_fault(
-            _STATE["catalog"], FaultTarget(cfg.target), cfg.bit_policy,
+            catalog, FaultTarget(cfg.target), cfg.bit_policy,
             seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
         corr = infer(model, scene, fault=fault, golden=golden)
         corr_dets = list(corr.detections)
@@ -297,7 +306,7 @@ def _transient_scene(scene_idx: int) -> dict:
             if report.verdict == "sdc" else None
         injections.append({
             "injection_id": index,
-            "fault": fault.to_json(),
+            "fault": fault,
             "image_id": scene_idx,
             "report": report,
             "fp_types": fp_types,
@@ -314,16 +323,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fault_cells(fault_json: dict | None) -> list[str]:
+def _fault_cells(fault: FaultDescriptor | None) -> list[str]:
     """The fault's CSV cells; blank for ingested images, which name no fault."""
-    if fault_json is None:
+    if fault is None:
         return [""] * len(_FAULT_COLUMNS)
-    cells = dict(fault_json, coords=";".join(str(c) for c in fault_json["coords"]))
+    cells = dict(fault.to_json(), coords=";".join(str(c) for c in fault.tensor_coords))
     return [_fmt(cells[column]) for column in _FAULT_COLUMNS]
 
 
-def _csv_row(injection_id, fault_json, image_id, report: SdcReport) -> list[str]:
-    return [_fmt(injection_id), *_fault_cells(fault_json), _fmt(image_id),
+def _csv_row(injection_id, fault: FaultDescriptor | None, image_id,
+             report: SdcReport) -> list[str]:
+    return [_fmt(injection_id), *_fault_cells(fault), _fmt(image_id),
             *(_fmt(getattr(report, name)) for name in _REPORT_COLUMNS)]
 
 
@@ -393,7 +403,6 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
     results = sorted((r for scene in scenes for r in scene["injections"]),
                      key=lambda r: r["injection_id"])
 
-    pairs = [(FaultDescriptor.from_json(r["fault"]), r["report"]) for r in results]
     fp_types_total = {"class_only": 0, "box_only": 0, "both_or_unmatched": 0}
     for r in results:
         if r["fp_types"]:
@@ -411,7 +420,7 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
                 for r in results]
     _write_csv(os.path.join(out_dir, "injections.csv"), CSV_COLUMNS, csv_rows)
 
-    bit_table = bit_averaged(pairs)  # ascending bits
+    bit_table = bit_averaged((r["fault"], r["report"]) for r in results)  # ascending bits
     bit_rows = [
         (bit, stats["count"], _fmt(stats["mean_delta_fp"]), _fmt(stats["mean_delta_fn_n"]))
         for bit, stats in bit_table.items()
@@ -443,26 +452,21 @@ def _permanent_chunks(cfg: CampaignConfig) -> list[range]:
             for start in range(0, cfg.n_injections, size)]
 
 
-def _permanent_chunk(indices: range) -> list[dict]:
+def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCatalog,
+                     indices: range) -> list[dict]:
     """Stuck-at-1 runs of a chunk of injections over the whole sequence.
 
     Frames form the outer loop: each frame's golden pass is built once and
     every injection of the chunk resumes from it, so a process holds one
-    golden activation set at a time. The first chunk a process runs
-    generates the sequence, not the pool initializer, whose errors would
-    break the pool instead of reaching the caller. The first
-    ``emit_masks`` injections of the chunk that persist at the lowest
-    severity level keep their FP tracker masks for the PGM output.
+    golden activation set at a time. The first ``emit_masks`` injections
+    of the chunk that persist at the lowest severity level keep their FP
+    tracker masks for the PGM output.
     """
-    cfg: CampaignConfig = _STATE["cfg"]
-    model: DetectorModel = _STATE["model"]
-    if "frames" not in _STATE:
-        _STATE["frames"] = _generate(
-            generate_sequence, cfg, _derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
-            n_frames=cfg.n_frames, width=cfg.scene_spec.width, height=cfg.scene_spec.height)
-    frames: list[Scene] = _STATE["frames"]
+    frames = _generate(
+        generate_sequence, cfg, _derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
+        n_frames=cfg.n_frames, width=cfg.scene_spec.width, height=cfg.scene_spec.height)
     faults = [
-        sample_fault(_STATE["catalog"], FaultTarget(cfg.target), "exponent_only",
+        sample_fault(catalog, FaultTarget(cfg.target), "exponent_only",
                      seed=_derive_seed(cfg.seed, _STREAM_FAULT, index),
                      mode=FaultMode.STUCK_AT_1)
         for index in indices
@@ -496,7 +500,7 @@ def _permanent_chunk(indices: range) -> list[dict]:
         kept_masks += keep
         results.append({
             "injection_id": index,
-            "fault": fault.to_json(),
+            "fault": fault,
             "fp_levels": fp_levels,
             "fn_levels": sdc_at_severity(fn_series, cfg.severity_levels),
             "fp_series": fp_series,
@@ -532,7 +536,7 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
 
     by_bit: dict[int, list] = {}
     for r in results:
-        by_bit.setdefault(r["fault"]["bit"], []).append(r)
+        by_bit.setdefault(r["fault"].bit, []).append(r)
     bit_occupancy = {
         str(bit): {
             "count": len(rs),
@@ -637,13 +641,6 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
 # ---------------------------------------------------------------------------
 # synthetic PR experiment
 
-DEFAULT_PERTURBATIONS = (
-    {"name": "low_conf_fp_flood", "add_fps": [500, [0.0, 0.2]]},
-    {"name": "high_conf_fp_few", "add_fps": [100, [0.9, 1.0]]},
-    {"name": "tp_loss", "remove_tps_fraction": 0.3},
-)
-
-
 def simulate_pr(
     seed: int,
     out_dir,
@@ -651,7 +648,6 @@ def simulate_pr(
     p_tp: float = 0.7,
     fp_rate: float = 0.3,
     conf_range: tuple[float, float] = (0.7, 1.0),
-    perturbations=DEFAULT_PERTURBATIONS,
 ) -> dict:
     """Synthetic PR-curve experiment: baseline plus fault-style perturbations."""
     os.makedirs(out_dir, exist_ok=True)
@@ -660,19 +656,15 @@ def simulate_pr(
         conf_range=tuple(conf_range), seed=seed)
     baseline = ap_mod.generate_synthetic_set(cfg)
 
-    variants = [("baseline", baseline)]
-    for index, spec in enumerate(perturbations):
-        add_fps = spec.get("add_fps")
-        remove = spec.get("remove_tps", 0)
-        if "remove_tps_fraction" in spec:
-            remove = int(len(baseline.tp_confidences) * spec["remove_tps_fraction"])
-        perturbed = ap_mod.perturb_set(
-            baseline,
-            add_fps=(int(add_fps[0]), tuple(add_fps[1])) if add_fps else None,
-            remove_tps=remove,
-            seed=seed + index + 1,
-        )
-        variants.append((spec["name"], perturbed))
+    variants = [
+        ("baseline", baseline),
+        ("low_conf_fp_flood", ap_mod.perturb_set(baseline, add_fps=(500, (0.0, 0.2)),
+                                                 seed=seed + 1)),
+        ("high_conf_fp_few", ap_mod.perturb_set(baseline, add_fps=(100, (0.9, 1.0)),
+                                                seed=seed + 2)),
+        ("tp_loss", ap_mod.perturb_set(
+            baseline, remove_tps=int(len(baseline.tp_confidences) * 0.3), seed=seed + 3)),
+    ]
 
     curve_rows = []
     summary_rows = []

@@ -391,17 +391,10 @@ def _corrupt_weights(model: DetectorModel, fault: FaultDescriptor) -> DetectorMo
 
 
 def _check_fault(model: DetectorModel, scene: Scene, fault: FaultDescriptor) -> None:
-    n_layers = len(model.layers)
-    if not 0 <= fault.layer_index < n_layers:
-        raise ValueError(f"fault layer {fault.layer_index} outside 0..{n_layers - 1}")
-    weights = model.layers[fault.layer_index].weights
-    # same-padded convs keep the scene extent, so this is the exact shape
-    # of the activation tensor a neuron fault corrupts
-    shape = (
-        (weights.shape[0], scene.height, scene.width)
-        if fault.target == FaultTarget.NEURON
-        else weights.shape
-    )
+    shapes = shape_catalog(model, scene.height, scene.width).shapes_for(fault.target)
+    if not 0 <= fault.layer_index < len(shapes):
+        raise ValueError(f"fault layer {fault.layer_index} outside 0..{len(shapes) - 1}")
+    shape = shapes[fault.layer_index]
     if len(fault.tensor_coords) != len(shape) or not all(
         0 <= c < s for c, s in zip(fault.tensor_coords, shape)
     ):

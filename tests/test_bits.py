@@ -10,7 +10,6 @@ import pytest
 from scipy import stats
 
 from odfault.bits import (
-    BF16,
     FP32,
     FaultDescriptor,
     FaultMode,
@@ -81,8 +80,6 @@ def test_bit_index_out_of_range():
         apply_fault(1.0, 32, FLIP)
     with pytest.raises(ValueError):
         apply_fault(1.0, -1, FLIP)
-    with pytest.raises(ValueError):
-        apply_fault(1.0, 16, FLIP, fmt=BF16)
 
 
 def test_agrees_with_struct_decoder_on_random_patterns():
@@ -140,17 +137,6 @@ def test_classify_agrees_with_math_oracle():
         assert classify_value(FP32.from_bits(pattern)) == oracle_classify(pattern)
 
 
-def test_bf16_layout():
-    assert BF16.sign_bit == 15
-    assert BF16.exponent_high == 14
-    assert BF16.exponent_low == 7
-    # 1.0 in bf16 is 0x3F80; flipping the exponent MSB gives +inf
-    assert BF16.to_bits(1.0) == 0x3F80
-    assert classify_value(apply_fault(1.0, 14, FLIP, fmt=BF16), fmt=BF16) == "inf"
-    assert apply_fault(1.0, 15, FLIP, fmt=BF16) == -1.0
-    assert apply_fault(1.0, 7, FLIP, fmt=BF16) == 0.5
-
-
 CATALOG = ShapeCatalog(
     neuron_shapes=((4, 16, 16), (8, 8, 8)),
     weight_shapes=((4, 1, 3, 3), (8, 4, 3, 3)),
@@ -181,16 +167,6 @@ def test_sample_fault_mantissa_only_policy():
     for seed in range(300):
         d = sample_fault(CATALOG, FaultTarget.NEURON, "mantissa_only", seed=seed)
         assert 0 <= d.bit <= 22
-
-
-def test_sample_fault_bf16_bit_ranges():
-    for seed in range(100):
-        d = sample_fault(CATALOG, FaultTarget.NEURON, "exponent_only", seed=seed, fmt=BF16)
-        assert 7 <= d.bit <= 14
-        d = sample_fault(CATALOG, FaultTarget.NEURON, "all_32", seed=seed, fmt=BF16)
-        assert 0 <= d.bit <= 15
-        d = sample_fault(CATALOG, FaultTarget.NEURON, "mantissa_only", seed=seed, fmt=BF16)
-        assert 0 <= d.bit <= 6
 
 
 def test_sample_fault_bit_uniformity():

@@ -73,10 +73,19 @@ def test_config_rejects_non_object_sections(doc):
     {"iou_threshold": "nan"},
     {"iou_threshold": 7},
     {"iou_threshold": 0},
+    {"scene": {"fixed": "false"}},
+    {"tracker": {"fp_coasting": "no"}},
+    {"n_injections": 2.9},
+    {"scene": {"width": 64.7}},
+    {"seed": 1.5},
+    {"workers": "2"},
+    {"iou_threshold": True},
+    {"severity_levels": "15"},
+    {"emit_masks": -3},
 ])
 def test_config_rejects_out_of_range_values(doc):
     with pytest.raises(ConfigError):
-        CampaignConfig.from_json(doc, seed=1)
+        CampaignConfig.from_json({"seed": 1, **doc})
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -207,6 +216,8 @@ def _campaign_files(out_dir):
     (run_transient, dict(TRANSIENT_BASE, n_injections=23, target="weight")),
     (run_permanent, {"mode": "permanent", "seed": 20, "n_injections": 5, "emit_masks": 2,
                      "sequence": {"n_frames": 60}}),
+    (run_permanent, {"mode": "permanent", "seed": 20, "n_injections": 33, "emit_masks": 2,
+                     "sequence": {"n_frames": 20}}),
 ])
 def test_outputs_identical_at_one_and_two_workers(tmp_path, runner, cfg):
     # transient work is split by scene, permanent work by injection chunk;
@@ -371,6 +382,7 @@ def test_cli_transient_and_exit_codes(tmp_path):
     (["permanent", "--n-frames", "20"], [1, 2]),
     (["permanent", "--n-frames", "20"], {"sequence": None}),
     (["transient", "--workers", "2"], {"scene": {"width": 20, "height": 20}}),
+    (["transient"], {"scene": {"fixed": "false"}}),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, command, doc):
     cfg_path = tmp_path / "cfg.json"
