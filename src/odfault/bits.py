@@ -96,16 +96,6 @@ class FaultDescriptor:
             "mode": self.mode.value,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "FaultDescriptor":
-        return cls(
-            target=FaultTarget(obj["target"]),
-            layer_index=int(obj["layer"]),
-            tensor_coords=tuple(int(c) for c in obj["coords"]),
-            bit=int(obj["bit"]),
-            mode=FaultMode(obj["mode"]),
-        )
-
 
 @dataclass(frozen=True)
 class ShapeCatalog:
@@ -197,7 +187,7 @@ def sample_fault(
     return FaultDescriptor(target, layer, coords, bit, FaultMode(mode))
 
 
-def rescale_rate(rate_exponent_only: float, bit_policy_used: str = "exponent_only") -> float:
+def rescale_rate(rate_exponent_only: float) -> float:
     """Rescale a rate measured under exponent-only sampling to all-32-bit odds.
 
     Exponent-only campaigns run 8 of 32 candidate bit positions, so a
@@ -206,8 +196,6 @@ def rescale_rate(rate_exponent_only: float, bit_policy_used: str = "exponent_onl
     deliberately not folded into this factor; 8/32 is the documented,
     conservative scaling.
     """
-    if bit_policy_used != "exponent_only":
-        raise ValueError("rescaling is defined for exponent_only campaigns")
     if not 0.0 <= rate_exponent_only <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
     return rate_exponent_only * EXPONENT_RESCALE_FACTOR

@@ -69,6 +69,11 @@ class ConfigError(Exception):
     """Invalid campaign configuration (CLI exit code 2)."""
 
 
+# Largest scene side: a golden trace holds 41 float32 planes of the scene,
+# about 170 MB at 1024 x 1024.
+MAX_SCENE_SIDE = 1024
+
+
 # Streams for deriving independent per-item seeds from the campaign seed.
 _STREAM_SCENE = 0
 _STREAM_FAULT = 1
@@ -121,6 +126,9 @@ class CampaignConfig:
             raise ConfigError(f"iou_threshold must lie in (0, 1], got {self.iou_threshold}")
         if self.scene_pool < 1:
             raise ConfigError("scene pool must be at least 1")
+        if max(self.scene_spec.width, self.scene_spec.height) > MAX_SCENE_SIDE:
+            raise ConfigError(f"scene sides must be at most {MAX_SCENE_SIDE} pixels, got "
+                              f"{self.scene_spec.width}x{self.scene_spec.height}")
         if self.mode == "permanent" and self.n_frames < self.tracker.n:
             raise ConfigError(
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
@@ -138,7 +146,8 @@ class CampaignConfig:
         """Config from a JSON document; ``overrides``, keyed by field name, win.
 
         Only the keys the document has are filled in, so every default is
-        its dataclass's own. Overrides that are None are ignored.
+        its dataclass's own. Overrides that are None are ignored; a
+        document value an override replaces is still checked.
         """
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
@@ -148,15 +157,12 @@ class CampaignConfig:
                 doc = obj.get(section, {}) if section else obj
                 if not isinstance(doc, dict):
                     raise ConfigError(f"config section {section!r} must be a JSON object")
-                if overrides.get(name) is not None:
-                    value = overrides[name]
-                elif key in doc:
-                    value = doc[key]
-                else:
-                    continue
                 owner, _, attr = name.rpartition(".")
                 try:
-                    values.setdefault(owner, {})[attr] = parse(value)
+                    if key in doc:
+                        values.setdefault(owner, {})[attr] = parse(doc[key])
+                    if overrides.get(name) is not None:
+                        values.setdefault(owner, {})[attr] = parse(overrides[name])
                 except TypeError as exc:
                     raise ConfigError(f"{section or 'config'} key {key!r}: {exc}") from exc
             kwargs = values.pop("", {})

@@ -28,6 +28,7 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -311,32 +312,63 @@ def shape_catalog(model: DetectorModel, height: int = 64, width: int = 64) -> Sh
     return ShapeCatalog(tuple(neuron_shapes), tuple(weight_shapes))
 
 
-def _convolve(x: np.ndarray, layer: ConvLayer, channels=None) -> np.ndarray:
+def _accumulate(padded: np.ndarray, weights: np.ndarray, bias, taps, height: int,
+                width: int) -> np.ndarray:
+    """One output channel: ``bias`` plus ``weights[tap] * input`` over ``taps`` in order."""
+    acc = np.full((height, width), bias, dtype=F32)
+    for ic, dy, dx in taps:
+        acc = acc + weights[ic, dy, dx] * padded[ic, dy:dy + height, dx:dx + width]
+    return acc
+
+
+def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
-    Zero weights are multiplied like any other so IEEE special values
-    propagate exactly as a dense implementation would (0 * inf = nan).
-    ``channels`` restricts the output to those filters; each output channel
-    is accumulated independently, so a subset is bit-identical to the same
-    channels of the full result.
+    ``channels`` restricts the output to those filters and ``window``, a
+    ``(row0, row1, col0, col1)`` half-open box, to those output pixels.
+    Every output element is accumulated on its own over its taps in
+    (input channel, row, column) order, so a part of the result is
+    bit-identical to the same part of the full result.
+
+    Taps whose weight is +-0 are skipped while the input the window reads
+    is all finite; the tap lists come from the weights passed in, so a
+    corrupted weight counts. Over finite input, leaving out a +-0 product
+    can only leave -0.0 where the every-tap sum holds +0.0 (-0.0 + 0.0 is
+    +0.0), so a channel whose sparse sum holds a -0.0 is recomputed with
+    every tap. Input holding Inf or NaN always takes every tap, so that
+    0 * inf = nan propagates exactly.
     """
     c_in, height, width = x.shape
     c_out, _, kh, kw = layer.weights.shape
+    weights = layer.weights if channels is None else layer.weights[list(channels)]
     channels = range(c_out) if channels is None else channels
-    pad_h, pad_w = kh // 2, kw // 2
-    padded = np.zeros((c_in, height + 2 * pad_h, width + 2 * pad_w), dtype=F32)
-    padded[:, pad_h:pad_h + height, pad_w:pad_w + width] = x
-    out = np.empty((len(channels), height, width), dtype=F32)
+    row0, row1, col0, col1 = (0, height, 0, width) if window is None else window
+    out_h, out_w = row1 - row0, col1 - col0
+    top, left = row0 - kh // 2, col0 - kw // 2
+    bottom, right = top + out_h + kh - 1, left + out_w + kw - 1
+    if top >= 0 and left >= 0 and bottom <= height and right <= width:
+        padded = x[:, top:bottom, left:right]
+    else:  # zero padding, only around the window
+        padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
+        r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
+        padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
+    out = np.empty((len(channels), out_h, out_w), dtype=F32)
     # overflow to inf and 0*inf=nan are expected consequences of injected
     # faults, not numerical accidents worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, oc in enumerate(channels):
-            acc = np.full((height, width), layer.biases[oc], dtype=F32)
-            for ic in range(c_in):
-                for dy in range(kh):
-                    for dx in range(kw):
-                        acc = acc + layer.weights[oc, ic, dy, dx] * padded[ic, dy:dy + height, dx:dx + width]
-            out[k] = acc
+        if np.isfinite(padded).all():
+            taps: list[list] = [[] for _ in channels]
+            # np.nonzero walks the weights in C order, the every-tap order
+            for k, ic, dy, dx in zip(*(i.tolist() for i in np.nonzero(weights))):
+                taps[k].append((ic, dy, dx))
+            for k, oc in enumerate(channels):
+                out[k] = _accumulate(padded, weights[k], layer.biases[oc], taps[k], out_h, out_w)
+            dense = np.flatnonzero(((out == 0) & np.signbit(out)).any(axis=(1, 2))).tolist()
+        else:
+            dense = range(len(channels))
+        for k in dense:
+            every_tap = itertools.product(range(c_in), range(kh), range(kw))
+            out[k] = _accumulate(padded, weights[k], layer.biases[channels[k]], every_tap, out_h, out_w)
     return out
 
 
@@ -460,6 +492,18 @@ def infer(
     return _trace(detections, layer_flags, tuple(activations) if keep_activations else None)
 
 
+def _changed_box(x: np.ndarray, golden: np.ndarray, window) -> tuple[int, int, int, int] | None:
+    """Bounding box of the pixels where ``x`` and ``golden`` differ in any
+    bit, searched inside ``window``; None when they are identical there."""
+    row0, row1, col0, col1 = window
+    changed = x[:, row0:row1, col0:col1].view(np.uint32) != golden[:, row0:row1, col0:col1].view(np.uint32)
+    rows = np.flatnonzero(changed.any(axis=(0, 2)))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(changed.any(axis=(0, 1)))
+    return row0 + int(rows[0]), row0 + int(rows[-1]) + 1, col0 + int(cols[0]), col0 + int(cols[-1]) + 1
+
+
 def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
             golden: InferenceTrace) -> InferenceTrace:
     """Faulty pass restarted from the golden input of the fault's layer.
@@ -468,9 +512,14 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
     output channel f of its layer, so only that channel is recomputed. A
     neuron fault patches one element of the golden output. After every
     layer the faulty output is compared with golden over its raw bits (so
-    -0.0 and NaN payloads count as differences); on a match the rest of
-    the pass is golden's, detections and NaN/Inf flags included. Decode
-    runs only when the last layer's output differs.
+    -0.0 and NaN payloads count as differences) inside the window that was
+    recomputed; on a match the rest of the pass is golden's, detections and
+    NaN/Inf flags included. Otherwise the bounding box of the differing
+    pixels, dilated by the next layer's kernel radius and clipped to the
+    scene, is the only window of the next layer that is recomputed; the
+    rest of its output is golden's. NaN/Inf is scanned over the box alone
+    when golden's layer is finite. Decode runs only when the last layer's
+    output differs.
     """
     if golden.activations is None or len(golden.layer_flags) != len(model.layers):
         raise ValueError("golden trace must come from infer(..., keep_activations=True)")
@@ -482,17 +531,29 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
                 else scene.pixels[None, :, :].astype(F32, copy=False))
         f = fault.tensor_coords[0]
         x[f] = _activate(_convolve(x_in, layer, [f]), layer.activation)[0]
+        window = (0, scene.height, 0, scene.width)
     else:
         x[fault.tensor_coords] = apply_fault(x[fault.tensor_coords], fault.bit, fault.mode)
+        _, row, col = fault.tensor_coords
+        window = (row, row + 1, col, col + 1)
 
     layer_flags = list(golden.layer_flags)
     while True:
-        if np.array_equal(x.view(np.uint32), golden.activations[index].view(np.uint32)):
+        box = _changed_box(x, golden.activations[index], window)
+        if box is None:
             return _trace(golden.detections, layer_flags)
-        layer_flags[index] = _nonfinite(x)
+        row0, row1, col0, col1 = box
+        finite_golden = golden.layer_flags[index] == (False, False)
+        layer_flags[index] = _nonfinite(x[:, row0:row1, col0:col1] if finite_golden else x)
         index += 1
         if index == len(model.layers):
             break
         layer = model.layers[index]
-        x = _activate(_convolve(x, layer), layer.activation)
+        _, _, kh, kw = layer.weights.shape
+        window = (max(row0 - kh // 2, 0), min(row1 + kh // 2, scene.height),
+                  max(col0 - kw // 2, 0), min(col1 + kw // 2, scene.width))
+        y = golden.activations[index].copy()
+        y[:, window[0]:window[1], window[2]:window[3]] = \
+            _activate(_convolve(x, layer, window=window), layer.activation)
+        x = y
     return _trace(_decode(x, model, scene.width, scene.height), layer_flags)

@@ -82,18 +82,32 @@ def _parse_detection(raw, width, height, where, scored) -> Detection:
     return Detection(box, category, confidence)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` is not 1 and ``64.9`` is not 64."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_record(obj: dict, where: str) -> DetectionRecord:
-    try:
-        image_id = obj["image_id"]
-        width = int(obj["width"])
-        height = int(obj["height"])
-        raw_dets = obj["detections"]
-        raw_gts = obj["ground_truth"]
-        flags = obj.get("flags", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{where}: missing or malformed field ({exc})") from exc
+    """One record; its values are checked, never coerced, and errors name the field."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: a record must be a JSON object, got {obj!r}")
+    for name in ("image_id", "width", "height", "detections", "ground_truth"):
+        if name not in obj:
+            raise DataError(f"{where}: missing field {name!r}")
+    image_id, width, height = obj["image_id"], obj["width"], obj["height"]
+    raw_dets, raw_gts = obj["detections"], obj["ground_truth"]
+    flags = obj.get("flags", {})
+    if not (isinstance(image_id, str) or _is_int(image_id)):
+        raise DataError(f"{where}: 'image_id' must be a string or an integer, got {image_id!r}")
+    for name, value in (("width", width), ("height", height)):
+        if not _is_int(value):
+            raise DataError(f"{where}: {name!r} must be an integer, got {value!r}")
     if width <= 0 or height <= 0:
         raise DataError(f"{where}: non-positive image dimensions {width}x{height}")
+    if not (isinstance(flags, dict)
+            and isinstance(flags.get("nan", False), bool) and isinstance(flags.get("inf", False), bool)):
+        raise DataError(f"{where}: 'flags' must be an object with boolean 'nan' and 'inf', "
+                        f"got {flags!r}")
 
     if not isinstance(raw_dets, list) or not isinstance(raw_gts, list):
         raise DataError(f"{where}: 'detections' and 'ground_truth' must be lists")
@@ -107,8 +121,8 @@ def _parse_record(obj: dict, where: str) -> DetectionRecord:
         height=height,
         detections=tuple(detections),
         ground_truth=tuple(ground_truth),
-        nan_flag=bool(flags.get("nan", False)),
-        inf_flag=bool(flags.get("inf", False)),
+        nan_flag=flags.get("nan", False),
+        inf_flag=flags.get("inf", False),
     )
 
 

@@ -11,7 +11,6 @@ from scipy import stats
 
 from odfault.bits import (
     FP32,
-    FaultDescriptor,
     FaultMode,
     FaultTarget,
     ShapeCatalog,
@@ -183,18 +182,9 @@ def test_sample_fault_empty_catalog():
         sample_fault(empty, FaultTarget.NEURON, "all_32", seed=0)
 
 
-def test_descriptor_json_round_trip():
-    d = sample_fault(CATALOG, FaultTarget.WEIGHT, "exponent_only", seed=3, mode=SA1)
-    obj = d.to_json()
-    assert set(obj) == {"target", "layer", "coords", "bit", "mode"}
-    assert FaultDescriptor.from_json(obj) == d
-
-
 def test_rescale_rate():
     assert rescale_rate(0.96) == pytest.approx(0.24)
     assert rescale_rate(0.0) == 0.0
     assert rescale_rate(1.0) == 0.25
     with pytest.raises(ValueError):
         rescale_rate(1.5)
-    with pytest.raises(ValueError):
-        rescale_rate(0.5, bit_policy_used="all_32")

@@ -12,6 +12,7 @@ import pytest
 
 from odfault.campaign import (
     CSV_COLUMNS,
+    MAX_SCENE_SIDE,
     CampaignConfig,
     ConfigError,
     ingest_and_score,
@@ -86,6 +87,23 @@ def test_config_rejects_non_object_sections(doc):
 def test_config_rejects_out_of_range_values(doc):
     with pytest.raises(ConfigError):
         CampaignConfig.from_json({"seed": 1, **doc})
+
+
+def test_override_does_not_hide_a_bad_document_value():
+    with pytest.raises(ConfigError, match="'seed'"):
+        CampaignConfig.from_json({"seed": True}, seed=1)
+    with pytest.raises(ConfigError, match="'n_frames'"):
+        CampaignConfig.from_json({"seed": 1, "sequence": {"n_frames": "60"}}, n_frames=20)
+    assert CampaignConfig.from_json({"seed": 3}, seed=1).seed == 1
+
+
+def test_scene_side_is_bounded_at_load():
+    side = {"seed": 1, "scene": {"width": MAX_SCENE_SIDE, "height": MAX_SCENE_SIDE}}
+    assert CampaignConfig.from_json(side).scene_spec.width == MAX_SCENE_SIDE
+    for scene in ({"width": 100000, "height": 100000}, {"width": MAX_SCENE_SIDE + 1},
+                  {"height": MAX_SCENE_SIDE + 1}):
+        with pytest.raises(ConfigError, match="at most"):
+            CampaignConfig.from_json({"seed": 1, "scene": scene})
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -383,6 +401,8 @@ def test_cli_transient_and_exit_codes(tmp_path):
     (["permanent", "--n-frames", "20"], {"sequence": None}),
     (["transient", "--workers", "2"], {"scene": {"width": 20, "height": 20}}),
     (["transient"], {"scene": {"fixed": "false"}}),
+    (["permanent"], {"seed": True}),
+    (["transient"], {"scene": {"width": 100000, "height": 100000}}),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, command, doc):
     cfg_path = tmp_path / "cfg.json"
@@ -430,6 +450,26 @@ def test_cli_ingest_missing_bbox_exit_code(tmp_path):
                        "--seed", "1", "--out", str(tmp_path / "out")])
     assert result.returncode == 3
     assert ":3 detection 0" in result.stderr and "'bbox'" in result.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("flags", "x"),
+    ("image_id", ["a"]),
+    ("flags", {"nan": "yes"}),
+    ("width", 64.9),
+    ("height", True),
+])
+def test_cli_ingest_malformed_record_exit_code(tmp_path, field, value):
+    orig_path, corr_path = _make_record_files(tmp_path)
+    lines = corr_path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record)
+    corr_path.write_text("\n".join(lines) + "\n")
+    result = _run_cli(["ingest", "--orig", str(orig_path), "--corr", str(corr_path),
+                       "--seed", "1", "--out", str(tmp_path / "out")])
+    assert result.returncode == 3, result.stderr
+    assert f":3: '{field}'" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_cli_config_file_with_flag_overrides(tmp_path):

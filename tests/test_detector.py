@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dense_reference import dense_conv, dense_infer
 from odfault.bits import FP32, FaultDescriptor, FaultMode, FaultTarget, sample_fault
 from odfault.detector import (
     BACKGROUND_LEVELS,
@@ -13,6 +14,7 @@ from odfault.detector import (
     DetectorModel,
     Scene,
     SceneSpec,
+    _convolve,
     generate_scene,
     generate_sequence,
     infer,
@@ -240,14 +242,32 @@ def _live_and_random_coords(tensor, rng):
     return [tuple(int(c) for c in live), tuple(int(rng.integers(0, e)) for e in tensor.shape)]
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _check_against_dense(model, scene, fault, golden):
+    """Full and resumed inference both equal the dense every-tap reference."""
+    reference = dense_infer(model, scene, fault)
+    full = infer(model, scene, fault=fault)
+    resumed = infer(model, scene, fault=fault, golden=golden)
+    assert _trace_key(full) == _trace_key(reference), fault
+    assert _trace_key(resumed) == _trace_key(reference), fault
+    assert full.layer_flags == resumed.layer_flags == reference.layer_flags, fault
+    return reference
+
+
 def test_golden_resume_matches_full_inference():
     # resumed inference is an optimisation: it must agree with the full
-    # pass on every layer x target x mode, including the NaN/Inf paths
+    # pass and the dense reference on every layer x target x mode,
+    # including the NaN/Inf paths
     rng = np.random.default_rng(0)
     checked = nan_cases = inf_cases = 0
     for seed in (0, 4, 7):
         scene = generate_scene(SPEC, seed=seed)
         golden = infer(MODEL, scene, keep_activations=True)
+        assert all(_same_bits(a, b) for a, b in
+                   zip(golden.activations, dense_infer(MODEL, scene).activations))
         for layer in range(len(MODEL.layers)):
             tensors = {FaultTarget.NEURON: golden.activations[layer],
                        FaultTarget.WEIGHT: MODEL.layers[layer].weights}
@@ -256,15 +276,90 @@ def test_golden_resume_matches_full_inference():
                     for mode in FaultMode:
                         for bit in (23, 29, 30, 31):
                             fault = FaultDescriptor(target, layer, coords, bit, mode)
-                            full = infer(MODEL, scene, fault=fault)
-                            resumed = infer(MODEL, scene, fault=fault, golden=golden)
-                            assert _trace_key(resumed) == _trace_key(full), fault
-                            assert resumed.layer_flags == full.layer_flags, fault
+                            reference = _check_against_dense(MODEL, scene, fault, golden)
                             checked += 1
-                            nan_cases += full.nan_seen
-                            inf_cases += full.inf_seen
+                            nan_cases += reference.nan_seen
+                            inf_cases += reference.inf_seen
     assert checked == 3 * 5 * 2 * 2 * 3 * 4
     assert nan_cases > 0 and inf_cases > 0
+
+    # corners and edges, where the changed window is clipped, on a 48-px scene
+    size = 48
+    scene = generate_scene(SceneSpec(width=size, height=size), seed=1)
+    golden = infer(MODEL, scene, keep_activations=True)
+    assert all(_same_bits(a, b) for a, b in
+               zip(golden.activations, dense_infer(MODEL, scene).activations))
+    border = [(0, 0), (0, size - 1), (size - 1, 0), (size - 1, size - 1),
+              (0, 20), (31, size - 1)]
+    border_checked = border_changed = 0
+    for layer in range(len(MODEL.layers)):
+        n_channels = MODEL.layers[layer].weights.shape[0]
+        for row, col in border:
+            for mode in FaultMode:
+                for bit in (23, 30):
+                    coords = (int(rng.integers(0, n_channels)), row, col)
+                    reference = _check_against_dense(MODEL, scene, _neuron_fault(layer, coords, bit, mode),
+                                                     golden)
+                    border_checked += 1
+                    border_changed += reference.detections != golden.detections
+    assert border_checked == 5 * 6 * 3 * 2
+    assert border_changed > 0
+
+
+def test_sparse_taps_keep_the_sign_of_zero():
+    # bias -0.0 and a single zero tap over a positive input: the every-tap
+    # sum is -0.0 + 0.0 = +0.0, but skipping the zero tap leaves -0.0
+    trap = np.zeros((2, 1, 3, 3), dtype=np.float32)
+    trap[1, 0, 1, 1] = 1.0  # channel 1 passes the input on, so a fault shows
+    layer = ConvLayer(trap, np.array([-0.0, 0.0], dtype=np.float32), "relu")
+    unit = ConvLayer(np.ones((1, 1, 1, 1), dtype=np.float32), np.zeros(1, dtype=np.float32), "relu")
+    model = DetectorModel((unit, layer))
+    scene = Scene(np.full((8, 8), 0.75, dtype=np.float32), ())
+    x = scene.pixels[None, :, :]
+    dense = dense_conv(x, layer.weights, layer.biases)
+    assert not np.signbit(dense[0]).any()
+    assert _same_bits(_convolve(x, layer), dense)
+    for row0, row1, col0, col1 in [(0, 2, 0, 2), (3, 5, 2, 6), (6, 8, 7, 8)]:
+        window = _convolve(x, layer, window=(row0, row1, col0, col1))
+        assert _same_bits(window, dense[:, row0:row1, col0:col1])
+    assert _same_bits(_convolve(x, layer, channels=[0], window=(0, 1, 0, 1)), dense[:1, :1, :1])
+
+    golden = infer(model, scene, keep_activations=True)
+    for kept, reference in zip(golden.activations, dense_infer(model, scene).activations):
+        assert _same_bits(kept, reference)
+    for coords in [(0, 0, 0), (0, 4, 3), (0, 7, 7)]:
+        _check_against_dense(model, scene, _neuron_fault(0, coords, 23), golden)
+
+
+def test_nonfinite_input_multiplies_every_tap():
+    # a zero weight over an Inf input gives 0 * inf = nan: the zero tap must
+    # not be skipped, in the full pass or in the resumed window
+    zero = ConvLayer(np.zeros((1, 1, 3, 3), dtype=np.float32), np.zeros(1, dtype=np.float32), "relu")
+    unit = ConvLayer(np.ones((1, 1, 1, 1), dtype=np.float32), np.zeros(1, dtype=np.float32), "relu")
+    model = DetectorModel((unit, zero))
+    pixels = np.ones((8, 8), dtype=np.float32)
+    x = pixels.copy()[None, :, :]
+    x[0, 2, 5] = np.inf
+    out = _convolve(x, zero)
+    assert _same_bits(out, dense_conv(x, zero.weights, zero.biases))
+    assert np.isnan(out[0, 1:4, 4:7]).all() and np.count_nonzero(np.isnan(out)) == 9
+    assert np.isnan(_convolve(x, zero, window=(0, 2, 5, 8))[0, 1, :2]).all()
+
+    scene = Scene(pixels, ())
+    golden = infer(model, scene, keep_activations=True)
+    assert golden.layer_flags == ((False, False), (False, False))
+    for coords in [(0, 3, 3), (0, 0, 7)]:
+        fault = _neuron_fault(0, coords, 30)  # 1.0 -> +inf
+        reference = _check_against_dense(model, scene, fault, golden)
+        assert reference.layer_flags == ((False, True), (True, False))
+
+    # golden itself holds an Inf, away from the pixel the fault changes: the
+    # flags of a changed layer then come from the whole layer, not the window
+    scene = Scene(x[0], ())
+    golden = infer(model, scene, keep_activations=True)
+    assert golden.layer_flags == ((False, True), (True, False))
+    for coords in [(0, 6, 1), (0, 2, 5)]:
+        _check_against_dense(model, scene, _neuron_fault(0, coords, 23), golden)
 
 
 def test_golden_trace_records_layer_flags_and_leaves_golden_intact():

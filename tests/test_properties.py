@@ -1,4 +1,5 @@
-"""Property tests: the config echo round trip and assignment invariances."""
+"""Property tests: the config echo round trip, assignment invariances and
+resumed inference against the dense every-tap reference."""
 
 from __future__ import annotations
 
@@ -10,7 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from dense_reference import dense_infer  # noqa: E402
+from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
 from odfault.campaign import CampaignConfig  # noqa: E402
+from odfault.detector import SceneSpec, generate_scene, infer, reference_model, shape_catalog  # noqa: E402
 from odfault.geometry import Box, Detection  # noqa: E402
 from odfault.matching import CategoryPolicy, assign  # noqa: E402
 
@@ -90,3 +94,35 @@ def test_assign_ignores_confidence_rescaling(preds, gts, exponent, iou_threshold
     scale = 2.0 ** -exponent
     rescaled = [replace(p, confidence=p.confidence * scale) for p in preds]
     assert assign(rescaled, gts, iou_threshold, policy) == assign(preds, gts, iou_threshold, policy)
+
+
+MODEL = reference_model()
+
+
+@st.composite
+def _faulty_scenes(draw):
+    width, height = draw(st.integers(32, 128)), draw(st.integers(32, 128))
+    try:
+        scene = generate_scene(SceneSpec(width=width, height=height, object_count=(1, 2)),
+                               draw(st.integers(0, 2**32 - 1)))
+    except RuntimeError:  # the objects did not fit
+        hypothesis.assume(False)
+    target = draw(st.sampled_from(list(FaultTarget)))
+    layer = draw(st.integers(0, len(MODEL.layers) - 1))
+    shape = shape_catalog(MODEL, height, width).shapes_for(target)[layer]
+    coords = tuple(draw(st.integers(0, extent - 1)) for extent in shape)
+    fault = FaultDescriptor(target, layer, coords, draw(st.integers(0, 31)),
+                            draw(st.sampled_from(list(FaultMode))))
+    return scene, fault
+
+
+@settings(max_examples=60, deadline=None)
+@given(_faulty_scenes())
+def test_resumed_inference_matches_dense_reference(case):
+    scene, fault = case
+    golden = infer(MODEL, scene, keep_activations=True)
+    resumed = infer(MODEL, scene, fault=fault, golden=golden)
+    reference = dense_infer(MODEL, scene, fault)
+    assert resumed.detections == reference.detections
+    assert (resumed.nan_seen, resumed.inf_seen) == (reference.nan_seen, reference.inf_seen)
+    assert resumed.layer_flags == reference.layer_flags

@@ -111,6 +111,36 @@ def test_malformed_detection_names_line_and_field(tmp_path, field, edit):
         read_records(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("flags", "x"),
+    ("flags", {"nan": "yes"}),
+    ("flags", {"inf": 1}),
+    ("image_id", ["a"]),
+    ("image_id", True),
+    ("width", 64.9),
+    ("height", True),
+    ("width", "64"),
+])
+def test_record_values_are_checked_not_coerced(tmp_path, field, value):
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    obj[field] = value
+    path.write_text(json.dumps(_record().to_json()) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(DataError, match=rf":2: '{field}' must be"):
+        read_records(path)
+
+
+def test_record_accepts_integer_ids_and_missing_flags(tmp_path):
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    obj["image_id"] = 7
+    del obj["flags"]
+    path.write_text(json.dumps(obj) + "\n" + json.dumps(_record(inf=True).to_json()) + "\n")
+    first, second = read_records(path)
+    assert (first.image_id, first.nan_flag, first.inf_flag) == (7, False, False)
+    assert (second.nan_flag, second.inf_flag) == (False, True)
+
+
 def test_ground_truth_without_bbox_rejected(tmp_path):
     path = tmp_path / "r.ndjson"
     obj = _record().to_json()
