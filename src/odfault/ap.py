@@ -15,7 +15,9 @@ geometry is involved by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "PrCurve",
     "ApResult",
     "average_precision",
+    "average_precision_sweep",
     "mean_average_precision",
     "pr_curves",
     "MAP_THRESHOLDS",
@@ -53,74 +56,166 @@ class ApResult:
     mean: float
 
 
-def _ranked_outcomes(preds_by_image, gts_by_image, category, iou_threshold):
-    """Confidence-ranked TP/FP flags for one category, plus the gt count."""
-    ranked = []
-    for image_id in sorted(preds_by_image, key=str):
-        for idx, det in enumerate(preds_by_image[image_id]):
-            if det.category == category:
-                ranked.append((-det.confidence, str(image_id), idx, image_id, det))
-    ranked.sort(key=lambda item: item[:3])
-
-    n_gt = 0
-    open_gts = {}
-    for image_id in gts_by_image:
-        gts = [g for g in gts_by_image[image_id] if g.category == category]
-        n_gt += len(gts)
-        open_gts[image_id] = gts
-
-    flags = []
-    matched: dict[object, set[int]] = {}
-    for _, _, _, image_id, det in ranked:
-        candidates = open_gts.get(image_id, [])
-        used = matched.setdefault(image_id, set())
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(candidates):
-            if j in used:
-                continue
-            overlap = iou(det.box, g.box)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou, best_j = overlap, j
-        if best_j >= 0:
-            used.add(best_j)
-            flags.append((det.confidence, True))
-        else:
-            flags.append((det.confidence, False))
-    return flags, n_gt
+# From this many (detection, ground truth) pairs in one image and category
+# on, IoUs are computed in numpy; below it, calling ``iou`` per pair is cheaper.
+_NUMPY_PAIRS = 32
+# With every coordinate finite and at most 2**25 in magnitude, every area,
+# sum and quotient of ``iou`` is the same in float64 as in Python, which
+# computes exactly on integer coordinates (boxes clipped to an image side).
+_NUMPY_COORD_LIMIT = 2.0 ** 25
 
 
-def _pr_points(flags, n_gt):
-    tp_cum = 0
-    points = []
-    for k, (_, is_tp) in enumerate(flags, start=1):
-        tp_cum += int(is_tp)
-        recall = tp_cum / n_gt if n_gt else 0.0
-        points.append((recall, tp_cum / k))
-    return points
+def _candidates(dets, gts, floor, first):
+    """The ``(gt number, IoU)`` pairs that a threshold >= ``floor`` can match,
+    keyed by detection position; detections without any are left out.
+
+    Ground truth ``j`` is numbered ``first + j``. Pairs whose IoU is below
+    ``floor`` or not above 0 are left out. The numpy path repeats ``iou``'s
+    operations in its order.
+    """
+    cands: dict[int, list] = {}
+    if len(dets) * len(gts) >= _NUMPY_PAIRS:
+        d = np.array([det.box.as_tuple() for det in dets], dtype=np.float64)
+        g = np.array([gt.box.as_tuple() for gt in gts], dtype=np.float64)
+        if np.abs(d).max() <= _NUMPY_COORD_LIMIT and np.abs(g).max() <= _NUMPY_COORD_LIMIT:
+            ix = np.minimum(d[:, 2:3], g[:, 2]) - np.maximum(d[:, 0:1], g[:, 0])
+            iy = np.minimum(d[:, 3:4], g[:, 3]) - np.maximum(d[:, 1:2], g[:, 1])
+            inter = ix * iy
+            union = ((d[:, 2] - d[:, 0]) * (d[:, 3] - d[:, 1]))[:, None] \
+                + (g[:, 2] - g[:, 0]) * (g[:, 3] - g[:, 1]) - inter
+            overlap = np.divide(inter, union, out=np.zeros_like(inter),
+                                where=(ix > 0.0) & (iy > 0.0) & (union > 0.0))
+            rows, cols = np.nonzero((overlap >= floor) & (overlap > 0.0))
+            for i, j, value in zip(rows.tolist(), (cols + first).tolist(),
+                                   overlap[rows, cols].tolist()):
+                cands.setdefault(i, []).append((j, value))
+            return cands
+    for i, det in enumerate(dets):
+        for j, gt in enumerate(gts, start=first):
+            value = iou(det.box, gt.box)
+            if value >= floor and value > 0.0:
+                cands.setdefault(i, []).append((j, value))
+    return cands
 
 
-def _ap_from_points(points, interpolation):
-    if not points:
+def _category_outcomes(preds_by_image, gts_by_image, thresholds):
+    """Yield ``(category, n_gt, hits)`` for each ground-truth category, ascending.
+
+    The category's detections are ranked once by confidence (descending),
+    then image id and position, and intersected once with the ground truth
+    of their image. ``hits[i]`` flags, in rank order, the detections that
+    match at ``thresholds[i]``: each in turn takes the unmatched ground truth
+    of its image with the highest IoU at or above the threshold, the lowest
+    index on ties.
+    """
+    # No threshold matches a pair below the lowest one (NaN matches nothing).
+    # Only Python ints and float64 thresholds order IoUs the same in numpy as
+    # in the greedy match below, where a numpy float32 threshold rounds the
+    # IoU to float32 first; other thresholds prune nothing.
+    floor = 0.0
+    if all(isinstance(t, (float, int)) for t in thresholds):
+        floor = min((t for t in thresholds if t == t), default=math.inf)
+    images = sorted(preds_by_image, key=str)
+
+    for category in sorted({g.category for gts in gts_by_image.values() for g in gts}):
+        category_gts = {}
+        for image_id, gts in gts_by_image.items():
+            gts = [g for g in gts if g.category == category]
+            if gts:
+                category_gts[image_id] = gts
+        confidences, image_ranks, positions = [], [], []
+        cands, n_numbered = {}, 0
+        # equal strings share a rank, so their detections fall through to
+        # position, as in a sort by (str(image_id), idx)
+        for image_rank, (_, group) in enumerate(groupby(images, key=str)):
+            for image_id in group:
+                entries = [(idx, det) for idx, det in enumerate(preds_by_image[image_id])
+                           if det.category == category]
+                gts = category_gts.get(image_id)
+                if entries and gts:
+                    # ground truths are numbered across images in index order,
+                    # so ties between one detection's pairs go to the lowest
+                    found = _candidates([det for _, det in entries], gts, floor, n_numbered)
+                    n_numbered += len(gts)
+                    cands.update((len(confidences) + i, pairs) for i, pairs in found.items())
+                for idx, det in entries:
+                    confidences.append(det.confidence)
+                    image_ranks.append(image_rank)
+                    positions.append(idx)
+        # a stable sort, so exact ties keep the order above
+        order = np.lexsort((positions, image_ranks, -np.array(confidences, dtype=np.float64)))
+        n_ranked = len(order)
+        rank_of = np.empty(n_ranked, dtype=np.int64)
+        rank_of[order] = np.arange(n_ranked)
+        matchable = sorted(zip(rank_of[list(cands)].tolist(), cands.values()))
+        del confidences, image_ranks, positions, order, rank_of, cands
+        hits = []
+        for threshold in thresholds:
+            used = set()
+            matched = []
+            for k, pairs in matchable:
+                best_iou, best_j = 0.0, -1
+                for j, value in pairs:
+                    if value >= threshold and value > best_iou and j not in used:
+                        best_iou, best_j = value, j
+                if best_j >= 0:
+                    used.add(best_j)
+                    matched.append(k)
+            hit = np.zeros(n_ranked, dtype=bool)
+            hit[matched] = True
+            hits.append(hit)
+        yield category, sum(len(gts) for gts in category_gts.values()), hits
+
+
+def _pr_arrays(hit, n_gt):
+    """Recall and precision after each ranked outcome (``hit`` flags the TPs)."""
+    tp_cum = np.cumsum(hit, dtype=np.int64)
+    recalls = tp_cum / n_gt if n_gt else np.zeros(len(tp_cum))
+    return recalls, tp_cum / np.arange(1, len(tp_cum) + 1)
+
+
+def _ap_from_pr(recalls, precisions, interpolation):
+    if not len(recalls):
         return 0.0
-    recalls = np.array([r for r, _ in points])
-    precisions = np.array([p for _, p in points])
     # precision envelope: best precision achievable at recall >= r
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     if interpolation == "101":
         grid = np.arange(101) / 100.0
         idx = np.searchsorted(recalls, grid, side="left")
-        values = np.where(idx < len(points), envelope[np.minimum(idx, len(points) - 1)], 0.0)
+        values = np.where(idx < len(recalls), envelope[np.minimum(idx, len(recalls) - 1)], 0.0)
         return float(values.mean())
     if interpolation == "area":
         area = 0.0
         prev_recall = 0.0
-        for k in range(len(points)):
+        for k in range(len(recalls)):
             r = recalls[k]
             if r > prev_recall:
                 area += (r - prev_recall) * envelope[k]
                 prev_recall = r
         return float(area)
     raise ValueError(f"unknown interpolation {interpolation!r}")
+
+
+def _points(recalls, precisions):
+    return tuple(zip(recalls.tolist(), precisions.tolist()))
+
+
+def average_precision_sweep(
+    preds_by_image,
+    gts_by_image,
+    thresholds=MAP_THRESHOLDS,
+    interpolation: str = "101",
+) -> list[ApResult]:
+    """``average_precision`` at every threshold, in order, from one ranking
+    and one intersection of the corpus."""
+    thresholds = tuple(thresholds)
+    per_threshold = [{} for _ in thresholds]
+    for category, n_gt, hits in _category_outcomes(preds_by_image, gts_by_image, thresholds):
+        for per_category, hit in zip(per_threshold, hits):
+            per_category[category] = _ap_from_pr(*_pr_arrays(hit, n_gt), interpolation)
+    return [ApResult(per_category=per_category,
+                     mean=float(np.mean(list(per_category.values()))) if per_category else 0.0)
+            for per_category in per_threshold]
 
 
 def average_precision(
@@ -134,15 +229,8 @@ def average_precision(
     Categories absent from ground truth are excluded from the mean; an
     empty ground truth yields a mean of 0.
     """
-    categories = sorted({g.category for gts in gts_by_image.values() for g in gts})
-    per_category = {}
-    for category in categories:
-        flags, n_gt = _ranked_outcomes(preds_by_image, gts_by_image, category, iou_threshold)
-        if n_gt == 0:
-            continue
-        per_category[category] = _ap_from_points(_pr_points(flags, n_gt), interpolation)
-    mean = float(np.mean(list(per_category.values()))) if per_category else 0.0
-    return ApResult(per_category=per_category, mean=mean)
+    return average_precision_sweep(preds_by_image, gts_by_image, (iou_threshold,),
+                                   interpolation)[0]
 
 
 def mean_average_precision(
@@ -152,20 +240,14 @@ def mean_average_precision(
     interpolation: str = "101",
 ) -> float:
     """Mean AP over the usual 0.50:0.05:0.95 threshold sweep."""
-    values = [
-        average_precision(preds_by_image, gts_by_image, t, interpolation).mean
-        for t in thresholds
-    ]
-    return float(np.mean(values))
+    sweep = average_precision_sweep(preds_by_image, gts_by_image, thresholds, interpolation)
+    return float(np.mean([result.mean for result in sweep]))
 
 
 def pr_curves(preds_by_image, gts_by_image, iou_threshold: float = 0.5) -> dict[int, PrCurve]:
-    categories = sorted({g.category for gts in gts_by_image.values() for g in gts})
-    curves = {}
-    for category in categories:
-        flags, n_gt = _ranked_outcomes(preds_by_image, gts_by_image, category, iou_threshold)
-        curves[category] = PrCurve(tuple(_pr_points(flags, n_gt)), category)
-    return curves
+    return {category: PrCurve(_points(*_pr_arrays(hits[0], n_gt)), category)
+            for category, n_gt, hits
+            in _category_outcomes(preds_by_image, gts_by_image, (iou_threshold,))}
 
 
 @dataclass(frozen=True)
@@ -231,17 +313,17 @@ def perturb_set(
     return SyntheticSet(tuple(tp), tuple(fp), s.n_objects)
 
 
-def _synthetic_flags(s: SyntheticSet):
+def _synthetic_pr(s: SyntheticSet):
     scored = [(c, True) for c in s.tp_confidences] + [(c, False) for c in s.fp_confidences]
     # stable rank: confidence descending, TPs before FPs on exact ties
     scored.sort(key=lambda item: (-item[0], not item[1]))
-    return scored
+    return _pr_arrays(np.array([is_tp for _, is_tp in scored], dtype=bool), s.n_objects)
 
 
 def synthetic_ap50(s: SyntheticSet, interpolation: str = "101") -> float:
     """AP of the abstract population (outcomes are fixed by construction)."""
-    return _ap_from_points(_pr_points(_synthetic_flags(s), s.n_objects), interpolation)
+    return _ap_from_pr(*_synthetic_pr(s), interpolation)
 
 
 def synthetic_pr_curve(s: SyntheticSet) -> PrCurve:
-    return PrCurve(tuple(_pr_points(_synthetic_flags(s), s.n_objects)))
+    return PrCurve(_points(*_synthetic_pr(s)))

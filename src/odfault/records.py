@@ -53,30 +53,52 @@ class DetectionRecord:
         }
 
 
+def _number(value):
+    """A JSON number as a float, else ``None``: ``true`` is not 1, ``"0.9"`` is
+    not 0.9, and an integer too large for a float is out of range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _malformed(where, field, value):
+    return DataError(f"{where}: missing or malformed {field!r} (got {value!r})")
+
+
 def _parse_box(raw, width, height, where):
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise DataError(f"{where}: bbox must be [x1, y1, x2, y2], got {raw!r}")
     coords = []
     for value in raw:
-        value = float(value)
-        if math.isnan(value):
+        coord = _number(value)
+        if coord is None:
+            raise _malformed(where, "bbox", raw)
+        if math.isnan(coord):
             raise DataError(f"{where}: bbox coordinate is NaN")
-        coords.append(value)
+        coords.append(coord)
     # clipping also squashes infinities onto the image boundary
     return clip(Box(*coords), width, height)
 
 
 def _parse_detection(raw, width, height, where, scored) -> Detection:
-    """One detection (``scored``) or ground-truth box; errors name the field."""
-    field = "bbox"
-    try:
-        box = _parse_box(raw["bbox"], width, height, where)
-        field = "category"
-        category = int(raw["category"])
-        field = "confidence"
-        confidence = float(raw.get("confidence", 1.0)) if scored else 1.0
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{where}: missing or malformed {field!r} ({exc!r})") from exc
+    """One detection (``scored``) or ground-truth box; its values are checked,
+    never coerced, and errors name the field."""
+    if not isinstance(raw, dict):
+        raise DataError(f"{where}: must be a JSON object, got {raw!r}")
+    if "bbox" not in raw:
+        raise _malformed(where, "bbox", None)
+    box = _parse_box(raw["bbox"], width, height, where)
+    category = raw.get("category")
+    if not _is_int(category):
+        raise _malformed(where, "category", category)
+    confidence = 1.0
+    if scored:
+        confidence = _number(raw.get("confidence", 1.0))
+        if confidence is None:
+            raise _malformed(where, "confidence", raw.get("confidence"))
     if not 0.0 <= confidence <= 1.0:
         raise DataError(f"{where}: confidence {confidence} outside [0, 1]")
     return Detection(box, category, confidence)

@@ -1,21 +1,28 @@
-"""Property tests: the config echo round trip, assignment invariances and
-resumed inference against the dense every-tap reference."""
+"""Property tests: the config echo round trip, assignment invariances,
+resumed inference against the dense every-tap reference, AP against the
+per-threshold greedy reference, and mutated record files at the CLI."""
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import ap_reference  # noqa: E402
 from dense_reference import dense_infer  # noqa: E402
+from odfault import ap, cli  # noqa: E402
 from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
 from odfault.campaign import CampaignConfig  # noqa: E402
 from odfault.detector import SceneSpec, generate_scene, infer, reference_model, shape_catalog  # noqa: E402
-from odfault.geometry import Box, Detection  # noqa: E402
+from odfault.geometry import Box, Detection, iou  # noqa: E402
 from odfault.matching import CategoryPolicy, assign  # noqa: E402
 
 
@@ -126,3 +133,163 @@ def test_resumed_inference_matches_dense_reference(case):
     assert resumed.detections == reference.detections
     assert (resumed.nan_seen, resumed.inf_seen) == (reference.nan_seen, reference.inf_seen)
     assert resumed.layer_flags == reference.layer_flags
+
+
+# Integer-grid corners make IoUs land exactly on thresholds (a 4x4 gt and a
+# 2x4 or 3x4 prediction give 0.5 and 0.75), and the coarse grid makes a box
+# overlap two others equally; the rest cover float, negative, huge and
+# non-finite coordinates.
+_grid = st.integers(0, 12)
+_ap_coord = st.one_of(_grid, st.sampled_from([0, 5, 10]), _grid.map(float),
+                      st.floats(-4.0, 16.0), st.sampled_from([2**25 + 1, 2.0**40, math.inf]))
+_ap_boxes = st.builds(Box, _ap_coord, _ap_coord, _ap_coord, _ap_coord)
+_confidences = st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+_image_ids = st.sampled_from([0, 1, "1", 2, "a", "b", 10, "10"])
+_ap_gts = st.lists(st.builds(Detection, _ap_boxes, st.integers(0, 2)), max_size=8)
+# a prediction's box is a fresh one or, by index, a copy of a ground truth or
+# of an earlier box in its image
+_ap_preds = st.one_of(*[st.lists(st.tuples(st.one_of(st.integers(0, 15), _ap_boxes),
+                                           st.integers(0, 3), _confidences),
+                                 min_size=n // 2, max_size=n) for n in (0, 3, 12, 40)])
+
+
+@st.composite
+def _ap_corpora(draw):
+    """(preds_by_image, gts_by_image): ground truth in categories 0-2,
+    predictions in 0-3, some images with ground truth only or predictions
+    only, duplicate boxes, and images large enough for the numpy IoU path."""
+    gts_by_image, preds_by_image = {}, {}
+    for image_id in draw(st.lists(_image_ids, unique=True, max_size=5)):
+        gts = draw(_ap_gts)
+        pool = [g.box for g in gts]
+        preds = []
+        for box, category, confidence in draw(_ap_preds):
+            if isinstance(box, int):
+                box = pool[box % len(pool)] if pool else Box(0, 0, 10, 10)
+            pool.append(box)
+            preds.append(Detection(box, category, confidence))
+        where = draw(st.sampled_from(["both", "gts", "preds"]))
+        if where != "preds":
+            gts_by_image[image_id] = gts
+        if where != "gts":
+            preds_by_image[image_id] = preds
+    return preds_by_image, gts_by_image
+
+
+_threshold_lists = st.tuples(
+    st.lists(st.one_of(st.sampled_from([0.5, 0.75, 0.55, 0.95, np.float32(0.55)]),
+                       st.floats(0.0, 1.0)), max_size=4),
+    st.randoms(use_true_random=False),
+).map(lambda t: t[1].sample([0.0, 0.3, 1.0] + t[0], 3 + len(t[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=_ap_corpora(), thresholds=_threshold_lists,
+       interpolation=st.sampled_from(["101", "area"]))
+def test_ap_matches_per_threshold_reference(corpus, thresholds, interpolation):
+    preds, gts = corpus
+    assert repr(ap.mean_average_precision(preds, gts, thresholds, interpolation)) == repr(
+        ap_reference.mean_average_precision(preds, gts, thresholds, interpolation))
+    sweep = ap.average_precision_sweep(preds, gts, thresholds, interpolation)
+    for threshold, result in zip(thresholds, sweep, strict=True):
+        expected = repr(ap_reference.average_precision(preds, gts, threshold, interpolation))
+        assert repr(result) == expected
+        assert repr(ap.average_precision(preds, gts, threshold, interpolation)) == expected
+        assert repr(ap.pr_curves(preds, gts, threshold)) == repr(
+            ap_reference.pr_curves(preds, gts, threshold))
+
+
+_fine_boxes = st.builds(Detection, st.builds(Box, *[st.one_of(st.floats(0.0, 64.0), _grid)] * 4))
+
+
+def _spread(det):
+    # integers above 2**25: areas that Python computes exactly and float64 rounds
+    return replace(det, box=Box(*(int(v * 3**20) for v in det.box.as_tuple())))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dets=st.lists(_fine_boxes, min_size=8, max_size=12),
+       gts=st.lists(_fine_boxes, min_size=4, max_size=6),
+       floor=st.sampled_from([0.0, 0.3, 0.5]), huge=st.booleans())
+def test_candidate_ious_equal_geometry_iou_bitwise(dets, gts, floor, huge):
+    # 32 pairs or more: the numpy path, or the per-pair path for huge coordinates
+    if huge:
+        dets, gts = [_spread(d) for d in dets], [_spread(g) for g in gts]
+    expected = {}
+    for i, d in enumerate(dets):
+        values = [(7 + j, iou(d.box, g.box)) for j, g in enumerate(gts)]
+        if pairs := [(j, v) for j, v in values if v >= floor and v > 0.0]:
+            expected[i] = pairs
+    assert repr(ap._candidates(dets, gts, floor, 7)) == repr(expected)
+
+
+def _valid_record(image_id, n_dets):
+    return {
+        "image_id": image_id, "width": 64, "height": 48,
+        "detections": [{"bbox": [1.0 + k, 2.0, 20.0 + k, 30.0], "category": k % 3,
+                        "confidence": 0.5 + 0.1 * k} for k in range(n_dets)],
+        "ground_truth": [{"bbox": [2.0, 2.0, 21.0, 29.0], "category": 0}],
+        "flags": {"nan": False, "inf": False},
+    }
+
+
+_odd_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.integers(2**53, 2**70), st.just(10**400),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1.0, 1e300]),
+    st.text(max_size=3), st.just([]), st.just([1, [2.0]]), st.just({"a": 1}),
+    st.lists(st.floats(allow_nan=True), max_size=5))
+
+
+@st.composite
+def _mutated_record_lines(draw):
+    """One valid record turned into a faulty line: a dropped field, a value of
+    another type, a NaN, +-1e400, a nested list, a cut or a non-object."""
+    record = _valid_record(draw(st.sampled_from(["img1", 1])), draw(st.integers(0, 3)))
+    paths = [(key,) for key in record] + [("flags", "nan"), ("flags", "inf")]
+    for section in ("detections", "ground_truth"):
+        for k, item in enumerate(record[section]):
+            paths += [(section, k, key) for key in item]
+            paths += [(section, k, "bbox", i) for i in range(4)]
+    path = draw(st.sampled_from(paths))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    mutation = draw(st.sampled_from(["drop", "swap", "nan", "big", "nest", "cut", "scalar"]))
+    if mutation == "drop":
+        if isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.pop(path[-1])
+    elif mutation == "swap":
+        parent[path[-1]] = draw(_odd_values)
+    elif mutation == "nest":
+        parent[path[-1]] = [parent[path[-1]]]
+    elif mutation in ("nan", "big"):
+        parent[path[-1]] = "@SPECIAL@"
+    line = json.dumps(record)
+    if mutation == "nan":
+        line = line.replace('"@SPECIAL@"', "NaN")
+    elif mutation == "big":
+        line = line.replace('"@SPECIAL@"', draw(st.sampled_from(["1e400", "-1e400"])))
+    elif mutation == "cut":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    elif mutation == "scalar":
+        line = draw(st.sampled_from(["[]", "7", '"x"', "null", "[{}]"]))
+    return line
+
+
+@settings(max_examples=120, deadline=None)
+@given(line=_mutated_record_lines(), in_corr=st.booleans())
+def test_cli_ingest_survives_mutated_records(line, in_corr):
+    good = json.dumps(_valid_record("img0", 2))
+    clean = [good, json.dumps(_valid_record("img1", 1))]
+    mutated = [good, line]
+    with tempfile.TemporaryDirectory() as tmp:
+        orig, corr = os.path.join(tmp, "orig.ndjson"), os.path.join(tmp, "corr.ndjson")
+        for path, lines in ((orig, clean if in_corr else mutated),
+                            (corr, mutated if in_corr else clean)):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+        code = cli.main(["ingest", "--orig", orig, "--corr", corr, "--seed", "1",
+                         "--out", os.path.join(tmp, "out")])
+    assert code in (0, 3)

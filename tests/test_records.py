@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,41 @@ def test_malformed_detection_names_line_and_field(tmp_path, field, edit):
     path.write_text(json.dumps(_record().to_json()) + "\n" + json.dumps(obj) + "\n")
     with pytest.raises(DataError, match=rf":2 detection 0: missing or malformed '{field}'"):
         read_records(path)
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("detections", "category", 1.7),
+    ("detections", "category", "0"),
+    ("detections", "category", True),
+    ("detections", "category", math.inf),
+    ("ground_truth", "category", "0"),
+    ("detections", "confidence", "0.9"),
+    ("detections", "confidence", True),
+    pytest.param("detections", "confidence", 10**400, id="detections-confidence-10e400"),
+    ("detections", "bbox", ["1", 10.0, 30.0, 30.0]),
+    ("detections", "bbox", [True, 10.0, 30.0, 30.0]),
+    pytest.param("ground_truth", "bbox", [10.0, 10.0, 10**400, 30.0], id="ground_truth-bbox-10e400"),
+])
+def test_detection_values_are_checked_not_coerced(tmp_path, section, field, value):
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    obj[section][0][field] = value
+    path.write_text(json.dumps(_record().to_json()) + "\n" + json.dumps(obj) + "\n")
+    kind = "detection" if section == "detections" else "gt"
+    with pytest.raises(DataError, match=rf":2 {kind} 0: missing or malformed '{field}'"):
+        read_records(path)
+
+
+def test_integer_coordinates_and_confidence_load_as_floats(tmp_path):
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    obj["detections"][0].update(bbox=[10, 10, 30, 30], confidence=1)
+    obj["ground_truth"][0]["bbox"] = [11, 11, 31, 500]
+    path.write_text(json.dumps(obj) + "\n")
+    record = read_records(path)[0]
+    det, gt = record.detections[0], record.ground_truth[0]
+    assert repr(det) == repr(Detection(Box(10.0, 10.0, 30.0, 30.0), 1, 1.0))
+    assert repr(gt.box) == repr(Box(11.0, 11.0, 31.0, 80))
 
 
 @pytest.mark.parametrize("field, value", [
