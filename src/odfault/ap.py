@@ -15,7 +15,6 @@ geometry is involved by design.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -27,7 +26,6 @@ __all__ = [
     "PrCurve",
     "ApResult",
     "average_precision",
-    "average_precision_sweep",
     "mean_average_precision",
     "pr_curves",
     "MAP_THRESHOLDS",
@@ -56,65 +54,19 @@ class ApResult:
     mean: float
 
 
-# From this many (detection, ground truth) pairs in one image and category
-# on, IoUs are computed in numpy; below it, calling ``iou`` per pair is cheaper.
-_NUMPY_PAIRS = 32
-# With every coordinate finite and at most 2**25 in magnitude, every area,
-# sum and quotient of ``iou`` is the same in float64 as in Python, which
-# computes exactly on integer coordinates (boxes clipped to an image side).
-_NUMPY_COORD_LIMIT = 2.0 ** 25
-
-
-def _candidates(dets, gts, floor, first):
-    """The ``(gt number, IoU)`` pairs that a threshold >= ``floor`` can match,
-    keyed by detection position; detections without any are left out.
-
-    Ground truth ``j`` is numbered ``first + j``. Pairs whose IoU is below
-    ``floor`` or not above 0 are left out. The numpy path repeats ``iou``'s
-    operations in its order.
-    """
-    cands: dict[int, list] = {}
-    if len(dets) * len(gts) >= _NUMPY_PAIRS:
-        d = np.array([det.box.as_tuple() for det in dets], dtype=np.float64)
-        g = np.array([gt.box.as_tuple() for gt in gts], dtype=np.float64)
-        if np.abs(d).max() <= _NUMPY_COORD_LIMIT and np.abs(g).max() <= _NUMPY_COORD_LIMIT:
-            ix = np.minimum(d[:, 2:3], g[:, 2]) - np.maximum(d[:, 0:1], g[:, 0])
-            iy = np.minimum(d[:, 3:4], g[:, 3]) - np.maximum(d[:, 1:2], g[:, 1])
-            inter = ix * iy
-            union = ((d[:, 2] - d[:, 0]) * (d[:, 3] - d[:, 1]))[:, None] \
-                + (g[:, 2] - g[:, 0]) * (g[:, 3] - g[:, 1]) - inter
-            overlap = np.divide(inter, union, out=np.zeros_like(inter),
-                                where=(ix > 0.0) & (iy > 0.0) & (union > 0.0))
-            rows, cols = np.nonzero((overlap >= floor) & (overlap > 0.0))
-            for i, j, value in zip(rows.tolist(), (cols + first).tolist(),
-                                   overlap[rows, cols].tolist()):
-                cands.setdefault(i, []).append((j, value))
-            return cands
-    for i, det in enumerate(dets):
-        for j, gt in enumerate(gts, start=first):
-            value = iou(det.box, gt.box)
-            if value >= floor and value > 0.0:
-                cands.setdefault(i, []).append((j, value))
-    return cands
-
-
 def _category_outcomes(preds_by_image, gts_by_image, thresholds):
     """Yield ``(category, n_gt, hits)`` for each ground-truth category, ascending.
 
     The category's detections are ranked once by confidence (descending),
     then image id and position, and intersected once with the ground truth
-    of their image. ``hits[i]`` flags, in rank order, the detections that
-    match at ``thresholds[i]``: each in turn takes the unmatched ground truth
-    of its image with the highest IoU at or above the threshold, the lowest
-    index on ties.
+    of their image; only ``(gt number, IoU)`` pairs with IoU above 0 and at
+    or above the lowest threshold are kept. ``hits[i]`` flags, in rank
+    order, the detections that match at ``thresholds[i]``: each in turn
+    takes the unmatched ground truth of its image with the highest IoU at or
+    above the threshold, the lowest index on ties.
     """
-    # No threshold matches a pair below the lowest one (NaN matches nothing).
-    # Only Python ints and float64 thresholds order IoUs the same in numpy as
-    # in the greedy match below, where a numpy float32 threshold rounds the
-    # IoU to float32 first; other thresholds prune nothing.
-    floor = 0.0
-    if all(isinstance(t, (float, int)) for t in thresholds):
-        floor = min((t for t in thresholds if t == t), default=math.inf)
+    # no threshold matches a pair below the lowest one
+    floor = min(thresholds, default=0.0)
     images = sorted(preds_by_image, key=str)
 
     for category in sorted({g.category for gts in gts_by_image.values() for g in gts}):
@@ -135,9 +87,12 @@ def _category_outcomes(preds_by_image, gts_by_image, thresholds):
                 if entries and gts:
                     # ground truths are numbered across images in index order,
                     # so ties between one detection's pairs go to the lowest
-                    found = _candidates([det for _, det in entries], gts, floor, n_numbered)
+                    for i, (_, det) in enumerate(entries, start=len(confidences)):
+                        pairs = [(j, value) for j, gt in enumerate(gts, start=n_numbered)
+                                 if (value := iou(det.box, gt.box)) >= floor and value > 0.0]
+                        if pairs:
+                            cands[i] = pairs
                     n_numbered += len(gts)
-                    cands.update((len(confidences) + i, pairs) for i, pairs in found.items())
                 for idx, det in entries:
                     confidences.append(det.confidence)
                     image_ranks.append(image_rank)
@@ -200,15 +155,9 @@ def _points(recalls, precisions):
     return tuple(zip(recalls.tolist(), precisions.tolist()))
 
 
-def average_precision_sweep(
-    preds_by_image,
-    gts_by_image,
-    thresholds=MAP_THRESHOLDS,
-    interpolation: str = "101",
-) -> list[ApResult]:
+def _sweep(preds_by_image, gts_by_image, thresholds, interpolation) -> list[ApResult]:
     """``average_precision`` at every threshold, in order, from one ranking
     and one intersection of the corpus."""
-    thresholds = tuple(thresholds)
     per_threshold = [{} for _ in thresholds]
     for category, n_gt, hits in _category_outcomes(preds_by_image, gts_by_image, thresholds):
         for per_category, hit in zip(per_threshold, hits):
@@ -229,8 +178,7 @@ def average_precision(
     Categories absent from ground truth are excluded from the mean; an
     empty ground truth yields a mean of 0.
     """
-    return average_precision_sweep(preds_by_image, gts_by_image, (iou_threshold,),
-                                   interpolation)[0]
+    return _sweep(preds_by_image, gts_by_image, (iou_threshold,), interpolation)[0]
 
 
 def mean_average_precision(
@@ -240,7 +188,7 @@ def mean_average_precision(
     interpolation: str = "101",
 ) -> float:
     """Mean AP over the usual 0.50:0.05:0.95 threshold sweep."""
-    sweep = average_precision_sweep(preds_by_image, gts_by_image, thresholds, interpolation)
+    sweep = _sweep(preds_by_image, gts_by_image, tuple(thresholds), interpolation)
     return float(np.mean([result.mean for result in sweep]))
 
 

@@ -390,16 +390,14 @@ def _summary(reports: list[SdcReport], gts_by_image, orig_by_image, corr_by_imag
             "mean_a_fp_occ": _mean(r.a_fp_occ for r in sdc),
             "mean_a_fn_vac": _mean(r.a_fn_vac for r in sdc),
         },
-        "ap": {name: _ap_summary(dets_by_image, gts_by_image)
-               for name, dets_by_image in (("orig", orig_by_image), ("corr", corr_by_image))},
+        "ap": {
+            name: {
+                "ap50": ap_mod.average_precision(dets_by_image, gts_by_image, 0.5).mean,
+                "map": ap_mod.mean_average_precision(dets_by_image, gts_by_image),
+            }
+            for name, dets_by_image in (("orig", orig_by_image), ("corr", corr_by_image))
+        },
     }
-
-
-def _ap_summary(dets_by_image, gts_by_image) -> dict:
-    """AP50 and mAP of one corpus from a single sweep over ``MAP_THRESHOLDS``."""
-    means = [result.mean for result in
-             ap_mod.average_precision_sweep(dets_by_image, gts_by_image, ap_mod.MAP_THRESHOLDS)]
-    return {"ap50": means[ap_mod.MAP_THRESHOLDS.index(0.5)], "map": float(np.mean(means))}
 
 
 def run_transient(cfg: CampaignConfig, out_dir) -> dict:
