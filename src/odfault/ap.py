@@ -214,10 +214,12 @@ class SyntheticSetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_objects < 0:
+            raise ValueError("n_objects must not be negative")
         if not (0.0 <= self.p_tp <= 1.0 and 0.0 <= self.fp_rate <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.conf_range[0] > self.conf_range[1]:
-            raise ValueError("conf_range low must not exceed high")
+        if not 0.0 <= self.conf_range[0] <= self.conf_range[1] <= 1.0:
+            raise ValueError(f"conf_range must be low <= high within [0, 1], got {self.conf_range}")
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from odfault.detector import (
 )
 from odfault.geometry import rasterize
 from odfault.matching import CategoryPolicy, assign, fp_type_breakdown
-from odfault.metrics import ImageEval, SdcReport, _mean, bit_averaged, severity
+from odfault.metrics import ImageEval, SdcReport, _mean, bit_averaged, bit_grouped, severity
 from odfault.persistence import TrackerConfig, occupancy_series, sdc_at_severity, track
 from odfault.records import DataError, read_records
 
@@ -82,6 +84,7 @@ _STREAM_SEQUENCE = 2
 _FAULT_COLUMNS = ("target", "layer", "coords", "bit", "mode")
 _REPORT_COLUMNS = tuple(f.name for f in fields(SdcReport))
 CSV_COLUMNS = ("injection_id", *_FAULT_COLUMNS, "image_id", *_REPORT_COLUMNS)
+_FP_TYPES = ("class_only", "box_only", "both_or_unmatched")
 
 def _derive_seed(seed: int, stream: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, stream, index))
@@ -108,7 +111,7 @@ class CampaignConfig:
     emit_masks: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("transient", "permanent", "ingest", "simulate_pr"):
+        if self.mode not in ("transient", "permanent", "ingest"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.seed is None:
             raise ConfigError("seed is mandatory")
@@ -248,7 +251,8 @@ def _scene_pool(cfg: CampaignConfig) -> int:
 
 
 def _run_items(cfg: CampaignConfig, items, work) -> list:
-    """``work(cfg, model, catalog, item)`` for every item, in item order.
+    """The lists ``work(cfg, model, catalog, item)`` returns, concatenated in
+    item order.
 
     The model and its shape catalogue are built once and passed to every
     item, inline at one worker and pickled to a process pool otherwise.
@@ -257,10 +261,11 @@ def _run_items(cfg: CampaignConfig, items, work) -> list:
     run = partial(work, cfg, model,
                   shape_catalog(model, cfg.scene_spec.height, cfg.scene_spec.width))
     if cfg.workers == 1:
-        return [run(item) for item in items]
+        return [result for item in items for result in run(item)]
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         chunk = max(1, len(items) // (cfg.workers * 4))
-        return list(pool.map(run, items, chunksize=chunk))
+        return [result for results in pool.map(run, items, chunksize=chunk)
+                for result in results]
 
 
 def _generate(generator, cfg: CampaignConfig, *args, **kwargs):
@@ -277,16 +282,37 @@ def _counts(cfg: CampaignConfig, dets, gts) -> tuple[int, int, int]:
     return outcome.tp, outcome.fp, outcome.fn
 
 
-def _score(cfg: CampaignConfig, image_id, counts_orig, orig, corr, gts, dims,
-           nan: bool, inf: bool) -> SdcReport:
+@dataclass(frozen=True)
+class _Scored:
+    """One scored image: its ``CSV_COLUMNS`` row and its entry in the AP corpora.
+
+    ``key`` names the image in the corpora: the injection id of a transient
+    injection, the image id of an ingested pair (which has no injection id
+    and no fault). ``fp_types`` is the FP-type breakdown of a transient SDC.
+    """
+
+    key: object
+    injection_id: int | None
+    fault: FaultDescriptor | None
+    image_id: object
+    report: SdcReport
+    gts: list
+    orig: list
+    corr: list
+    fp_types: dict | None = None
+
+
+def _score(cfg: CampaignConfig, counts_orig, dims, nan: bool, inf: bool, *, key,
+           injection_id=None, fault=None, image_id, gts, orig, corr) -> _Scored:
     """Image-wise verdict and severity of one corrupted image against its original."""
     evaluation = ImageEval(image_id=image_id, counts_orig=counts_orig,
                            counts_corr=_counts(cfg, corr, gts), inf_flag=inf, nan_flag=nan)
-    return severity(evaluation, orig, corr, gts, dims)
+    return _Scored(key, injection_id, fault, image_id,
+                   severity(evaluation, orig, corr, gts, dims), gts, orig, corr)
 
 
 def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCatalog,
-                     scene_idx: int) -> dict:
+                     scene_idx: int) -> list[_Scored]:
     """One scene's golden pass and every injection that lands on it.
 
     Injection ``i`` runs on scene ``i mod pool``. Only this scene's golden
@@ -304,21 +330,15 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
         fault = sample_fault(
             catalog, FaultTarget(cfg.target), cfg.bit_policy,
             seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
-        corr = infer(model, scene, fault=fault, golden=golden)
-        corr_dets = list(corr.detections)
-        report = _score(cfg, scene_idx, counts_orig, orig, corr_dets, gts,
-                        (scene.width, scene.height), corr.nan_seen, corr.inf_seen)
-        fp_types = fp_type_breakdown(corr_dets, gts, cfg.iou_threshold) \
-            if report.verdict == "sdc" else None
-        injections.append({
-            "injection_id": index,
-            "fault": fault,
-            "image_id": scene_idx,
-            "report": report,
-            "fp_types": fp_types,
-            "corr_detections": corr_dets,
-        })
-    return {"gts": gts, "orig_detections": orig, "injections": injections}
+        trace = infer(model, scene, fault=fault, golden=golden)
+        corr = list(trace.detections)
+        scored = _score(cfg, counts_orig, (scene.width, scene.height), trace.nan_seen,
+                        trace.inf_seen, key=index, injection_id=index, fault=fault,
+                        image_id=scene_idx, gts=gts, orig=orig, corr=corr)
+        if scored.report.verdict == "sdc":
+            scored = replace(scored, fp_types=fp_type_breakdown(corr, gts, cfg.iou_threshold))
+        injections.append(scored)
+    return injections
 
 
 def _fmt(value) -> str:
@@ -329,25 +349,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fault_cells(fault: FaultDescriptor | None) -> list[str]:
+def _fault_cells(fault: FaultDescriptor | None) -> list:
     """The fault's CSV cells; blank for ingested images, which name no fault."""
     if fault is None:
-        return [""] * len(_FAULT_COLUMNS)
+        return [None] * len(_FAULT_COLUMNS)
     cells = dict(fault.to_json(), coords=";".join(str(c) for c in fault.tensor_coords))
-    return [_fmt(cells[column]) for column in _FAULT_COLUMNS]
-
-
-def _csv_row(injection_id, fault: FaultDescriptor | None, image_id,
-             report: SdcReport) -> list[str]:
-    return [_fmt(injection_id), *_fault_cells(fault), _fmt(image_id),
-            *(_fmt(getattr(report, name)) for name in _REPORT_COLUMNS)]
+    return [cells[column] for column in _FAULT_COLUMNS]
 
 
 def _write_csv(path, header, rows) -> None:
+    """A header and rows of cells, each cell formatted by ``_fmt``."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
 def _write_json(path, obj) -> None:
@@ -368,17 +383,21 @@ def _kilo_pixels(value: float | None) -> float | None:
     return value * 1e-3 if value is not None else None
 
 
-def _summary(reports: list[SdcReport], gts_by_image, orig_by_image, corr_by_image) -> dict:
-    """Verdict rates, SDC severity means and AP of a set of scored images.
+def _summary(scored: list[_Scored], out_dir, csv_name) -> dict:
+    """Write the ``CSV_COLUMNS`` rows of a set of scored images to
+    ``csv_name``; return their verdict rates, SDC severity means and AP.
 
     Each rate is its own count over n, so the three need not sum to exactly
     1 in floating point. Box sizes are in thousands of square pixels.
     """
-    n = len(reports)
-    verdicts = [r.verdict for r in reports]
-    sdc = [r for r in reports if r.verdict == "sdc"]
+    _write_csv(os.path.join(out_dir, csv_name), CSV_COLUMNS,
+               ([s.injection_id, *_fault_cells(s.fault), s.image_id,
+                 *(getattr(s.report, name) for name in _REPORT_COLUMNS)] for s in scored))
+    gts_by_image = {s.key: s.gts for s in scored}
+    verdicts = Counter(s.report.verdict for s in scored)
+    sdc = [s.report for s in scored if s.report.verdict == "sdc"]
     return {
-        "rates": {verdict: verdicts.count(verdict) / n for verdict in ("sdc", "due", "benign")},
+        "rates": {verdict: verdicts[verdict] / len(scored) for verdict in ("sdc", "due", "benign")},
         "severity_over_sdc": {
             "n_sdc_events": len(sdc),
             "mean_delta_fp": _mean(r.delta_fp for r in sdc),
@@ -395,7 +414,8 @@ def _summary(reports: list[SdcReport], gts_by_image, orig_by_image, corr_by_imag
                 "ap50": ap_mod.average_precision(dets_by_image, gts_by_image, 0.5).mean,
                 "map": ap_mod.mean_average_precision(dets_by_image, gts_by_image),
             }
-            for name, dets_by_image in (("orig", orig_by_image), ("corr", corr_by_image))
+            for name, dets_by_image in (("orig", {s.key: s.orig for s in scored}),
+                                        ("corr", {s.key: s.corr for s in scored}))
         },
     }
 
@@ -405,39 +425,19 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
     if cfg.mode != "transient":
         raise ConfigError(f"run_transient got a {cfg.mode!r} config")
     os.makedirs(out_dir, exist_ok=True)
-    scenes = _run_items(cfg, range(_scene_pool(cfg)), _transient_scene)
-    results = sorted((r for scene in scenes for r in scene["injections"]),
-                     key=lambda r: r["injection_id"])
-
-    fp_types_total = {"class_only": 0, "box_only": 0, "both_or_unmatched": 0}
-    for r in results:
-        if r["fp_types"]:
-            for key in fp_types_total:
-                fp_types_total[key] += r["fp_types"][key]
-
-    # AP on the fault-free and corrupted corpora (one image per injection)
-    summary = _summary(
-        [r["report"] for r in results],
-        {r["injection_id"]: scenes[r["image_id"]]["gts"] for r in results},
-        {r["injection_id"]: scenes[r["image_id"]]["orig_detections"] for r in results},
-        {r["injection_id"]: r["corr_detections"] for r in results})
-
-    csv_rows = [_csv_row(r["injection_id"], r["fault"], r["image_id"], r["report"])
-                for r in results]
-    _write_csv(os.path.join(out_dir, "injections.csv"), CSV_COLUMNS, csv_rows)
-
-    bit_table = bit_averaged((r["fault"], r["report"]) for r in results)  # ascending bits
-    bit_rows = [
-        (bit, stats["count"], _fmt(stats["mean_delta_fp"]), _fmt(stats["mean_delta_fn_n"]))
-        for bit, stats in bit_table.items()
-    ]
+    scored = sorted(_run_items(cfg, range(_scene_pool(cfg)), _transient_scene),
+                    key=attrgetter("injection_id"))
+    bit_table = bit_averaged((s.fault, s.report) for s in scored)  # ascending bits
     _write_csv(os.path.join(out_dir, "bit_averages.csv"),
-               ("bit", "n_sdc", "mean_delta_fp", "mean_delta_fn_n"), bit_rows)
+               ("bit", "n_sdc", "mean_delta_fp", "mean_delta_fn_n"),
+               ([bit, stats["count"], stats["mean_delta_fp"], stats["mean_delta_fn_n"]]
+                for bit, stats in bit_table.items()))
 
+    fp_types = sum((Counter(s.fp_types) for s in scored), Counter())
     report = {
         "config": cfg.echo(),
-        **summary,
-        "fp_types_over_sdc": fp_types_total,
+        **_summary(scored, out_dir, "injections.csv"),
+        "fp_types_over_sdc": {kind: fp_types[kind] for kind in _FP_TYPES},
         "bit_averages": {str(bit): stats for bit, stats in bit_table.items()},
     }
     _write_json(os.path.join(out_dir, "report.json"), report)
@@ -524,54 +524,29 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
     if cfg.mode != "permanent":
         raise ConfigError(f"run_permanent got a {cfg.mode!r} config")
     os.makedirs(out_dir, exist_ok=True)
-    chunks = _run_items(cfg, _permanent_chunks(cfg), _permanent_chunk)
-    results = [r for chunk in chunks for r in chunk]
+    results = _run_items(cfg, _permanent_chunks(cfg), _permanent_chunk)
     n = len(results)
+    levels = cfg.severity_levels
 
-    def level_rates(key):
-        raw = {}
-        rescaled = {}
-        for level in cfg.severity_levels:
-            hits = sum(1 for r in results if r[key][level]) / n
-            raw[str(level)] = hits
-            rescaled[str(level)] = rescale_rate(hits)
-        return raw, rescaled
+    report = {"config": cfg.echo()}
+    for kind in ("fp", "fn"):
+        raw = {str(level): sum(r[f"{kind}_levels"][level] for r in results) / n
+               for level in levels}
+        report[f"{kind}_rates_at_level"] = raw
+        report[f"{kind}_rates_at_level_rescaled"] = {
+            key: rescale_rate(rate) for key, rate in raw.items()}
 
-    fp_raw, fp_rescaled = level_rates("fp_levels")
-    fn_raw, fn_rescaled = level_rates("fn_levels")
-
-    by_bit: dict[int, list] = {}
-    for r in results:
-        by_bit.setdefault(r["fault"].bit, []).append(r)
-    bit_occupancy = {
-        str(bit): {
-            "count": len(rs),
-            "mean_fp_occ": _mean(r["mean_fp_occ"] for r in rs),
-            "mean_fn_vac": _mean(r["mean_fn_vac"] for r in rs),
-        }
-        for bit, rs in sorted(by_bit.items())
-    }
-
-    level_names = [f"fp_sdc_at_{level}" for level in cfg.severity_levels] + \
-                  [f"fn_sdc_at_{level}" for level in cfg.severity_levels]
-    header = ("injection_id", *_FAULT_COLUMNS,
-              *level_names, "mean_fp_occ", "mean_fn_vac", "due_frames")
-    rows = []
-    for r in results:
-        rows.append([
-            r["injection_id"], *_fault_cells(r["fault"]),
-            *[int(r["fp_levels"][lv]) for lv in cfg.severity_levels],
-            *[int(r["fn_levels"][lv]) for lv in cfg.severity_levels],
-            _fmt(r["mean_fp_occ"]), _fmt(r["mean_fn_vac"]), r["due_frames"],
-        ])
-    _write_csv(os.path.join(out_dir, "injections.csv"), header, rows)
-
-    series_rows = []
-    for r in results:
-        for frame_idx, (fp, fn) in enumerate(zip(r["fp_series"], r["fn_series"])):
-            series_rows.append([r["injection_id"], frame_idx, _fmt(fp), _fmt(fn)])
+    _write_csv(os.path.join(out_dir, "injections.csv"),
+               ("injection_id", *_FAULT_COLUMNS,
+                *(f"{kind}_sdc_at_{level}" for kind in ("fp", "fn") for level in levels),
+                "mean_fp_occ", "mean_fn_vac", "due_frames"),
+               ([r["injection_id"], *_fault_cells(r["fault"]),
+                 *(int(r[f"{kind}_levels"][level]) for kind in ("fp", "fn") for level in levels),
+                 r["mean_fp_occ"], r["mean_fn_vac"], r["due_frames"]] for r in results))
     _write_csv(os.path.join(out_dir, "occupancy_series.csv"),
-               ("injection_id", "frame", "fp_occ", "fn_vac"), series_rows)
+               ("injection_id", "frame", "fp_occ", "fn_vac"),
+               ([r["injection_id"], frame_idx, fp, fn] for r in results
+                for frame_idx, (fp, fn) in enumerate(zip(r["fp_series"], r["fn_series"]))))
 
     emitted = [r for r in results if r["fp_masks"] is not None][:cfg.emit_masks]
     for r in emitted:
@@ -579,15 +554,11 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
             write_pgm(mask, os.path.join(
                 out_dir, f"fp_mask_inj{r['injection_id']}_frame{frame_idx:03d}.pgm"))
 
-    report = {
-        "config": cfg.echo(),
-        "fp_rates_at_level": fp_raw,
-        "fp_rates_at_level_rescaled": fp_rescaled,
-        "fn_rates_at_level": fn_raw,
-        "fn_rates_at_level_rescaled": fn_rescaled,
-        "bit_mean_occupancy": bit_occupancy,
-        "due_fault_fraction": sum(1 for r in results if r["due_frames"] > 0) / n,
-    }
+    bit_occupancy = bit_grouped(((r["fault"].bit, r) for r in results),
+                                mean_fp_occ=itemgetter("mean_fp_occ"),
+                                mean_fn_vac=itemgetter("mean_fn_vac"))
+    report["bit_mean_occupancy"] = {str(bit): stats for bit, stats in bit_occupancy.items()}
+    report["due_fault_fraction"] = sum(1 for r in results if r["due_frames"] > 0) / n
     _write_json(os.path.join(out_dir, "report.json"), report)
     return report
 
@@ -612,9 +583,7 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
             f"image_id mismatch: missing from corrupted file {missing[:10]}, "
             f"unmatched in corrupted file {extra[:10]}")
 
-    rows = []
-    reports = []
-    gts_by_image, orig_by_image, corr_by_image = {}, {}, {}
+    scored = []
     for image_id in sorted(orig_by_id, key=str):
         orig = orig_by_id[image_id]
         corr = corr_by_id[image_id]
@@ -622,20 +591,14 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
             raise DataError(f"image {image_id!r}: dimensions differ between files")
         gts = list(orig.ground_truth)
         orig_dets = list(orig.detections)
-        corr_dets = list(corr.detections)
-        report = _score(cfg, image_id, _counts(cfg, orig_dets, gts), orig_dets, corr_dets,
-                        gts, (orig.width, orig.height), corr.nan_flag, corr.inf_flag)
-        reports.append(report)
-        rows.append(_csv_row("", None, image_id, report))
-        gts_by_image[image_id] = gts
-        orig_by_image[image_id] = orig_dets
-        corr_by_image[image_id] = corr_dets
+        scored.append(_score(cfg, _counts(cfg, orig_dets, gts), (orig.width, orig.height),
+                             corr.nan_flag, corr.inf_flag, key=image_id, image_id=image_id,
+                             gts=gts, orig=orig_dets, corr=list(corr.detections)))
 
-    _write_csv(os.path.join(out_dir, "images.csv"), CSV_COLUMNS, rows)
     report = {
         "config": cfg.echo(),
-        "n_images": len(reports),
-        **_summary(reports, gts_by_image, orig_by_image, corr_by_image),
+        "n_images": len(scored),
+        **_summary(scored, out_dir, "images.csv"),
     }
     ap_summary = report["ap"]
     ap_summary["delta"] = {key: ap_summary["corr"][key] - ap_summary["orig"][key]
@@ -656,10 +619,13 @@ def simulate_pr(
     conf_range: tuple[float, float] = (0.7, 1.0),
 ) -> dict:
     """Synthetic PR-curve experiment: baseline plus fault-style perturbations."""
+    try:
+        cfg = ap_mod.SyntheticSetConfig(
+            n_objects=n_objects, p_tp=p_tp, fp_rate=fp_rate,
+            conf_range=tuple(conf_range), seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid PR experiment: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
-    cfg = ap_mod.SyntheticSetConfig(
-        n_objects=n_objects, p_tp=p_tp, fp_rate=fp_rate,
-        conf_range=tuple(conf_range), seed=seed)
     baseline = ap_mod.generate_synthetic_set(cfg)
 
     variants = [
@@ -672,29 +638,22 @@ def simulate_pr(
             baseline, remove_tps=int(len(baseline.tp_confidences) * 0.3), seed=seed + 3)),
     ]
 
-    curve_rows = []
-    summary_rows = []
-    summary = {}
-    for name, synthetic in variants:
-        curve = ap_mod.synthetic_pr_curve(synthetic)
-        for rank, (recall, precision) in enumerate(curve.points):
-            curve_rows.append([name, rank, _fmt(recall), _fmt(precision)])
-        entry = {
+    summary = {
+        name: {
             "n_objects": synthetic.n_objects,
             "n_tp": len(synthetic.tp_confidences),
             "n_fp": len(synthetic.fp_confidences),
             "ap50": ap_mod.synthetic_ap50(synthetic),
             "ap50_exact_area": ap_mod.synthetic_ap50(synthetic, interpolation="area"),
         }
-        summary[name] = entry
-        summary_rows.append([name, entry["n_objects"], entry["n_tp"], entry["n_fp"],
-                             _fmt(entry["ap50"]), _fmt(entry["ap50_exact_area"])])
-
+        for name, synthetic in variants
+    }
     _write_csv(os.path.join(out_dir, "pr_curves.csv"),
-               ("variant", "rank", "recall", "precision"), curve_rows)
-    _write_csv(os.path.join(out_dir, "pr_summary.csv"),
-               ("variant", "n_objects", "n_tp", "n_fp", "ap50", "ap50_exact_area"),
-               summary_rows)
+               ("variant", "rank", "recall", "precision"),
+               ([name, rank, *point] for name, synthetic in variants
+                for rank, point in enumerate(ap_mod.synthetic_pr_curve(synthetic).points)))
+    _write_csv(os.path.join(out_dir, "pr_summary.csv"), ("variant", *summary["baseline"]),
+               ([name, *entry.values()] for name, entry in summary.items()))
     report = {
         "seed": seed,
         "generator": {"n_objects": n_objects, "p_tp": p_tp, "fp_rate": fp_rate,

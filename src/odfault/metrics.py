@@ -17,6 +17,7 @@ vacated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from odfault.geometry import Detection, mask_diff, mask_popcount, rasterize
 
@@ -27,6 +28,7 @@ __all__ = [
     "rates",
     "severity",
     "bit_averaged",
+    "bit_grouped",
     "baseline_occupancy",
 ]
 
@@ -144,6 +146,21 @@ def severity(
     )
 
 
+def bit_grouped(pairs, **means) -> dict[int, dict[str, float | int | None]]:
+    """Group ``(bit, item)`` pairs by bit, in ascending bit order.
+
+    Each group gives its ``count`` and, for every keyword ``name=getter``,
+    the mean of ``getter(item)`` over the group, skipping undefined (None)
+    values.
+    """
+    groups: dict[int, list] = {}
+    for bit, item in pairs:
+        groups.setdefault(bit, []).append(item)
+    return {bit: {"count": len(items),
+                  **{name: _mean(map(get, items)) for name, get in means.items()}}
+            for bit, items in sorted(groups.items())}
+
+
 def bit_averaged(reports) -> dict[int, dict[str, float | int | None]]:
     """Group SDC-verdict reports by flipped bit and average the deltas.
 
@@ -151,19 +168,10 @@ def bit_averaged(reports) -> dict[int, dict[str, float | int | None]]:
     never produced an SDC are absent from the result. The ``delta_fn_n``
     mean skips undefined (None) entries.
     """
-    groups: dict[int, list[SdcReport]] = {}
-    for descriptor, report in reports:
-        if report.verdict == "sdc":
-            groups.setdefault(descriptor.bit, []).append(report)
-    out = {}
-    for bit in sorted(groups):
-        rs = groups[bit]
-        out[bit] = {
-            "count": len(rs),
-            "mean_delta_fp": _mean(r.delta_fp for r in rs),
-            "mean_delta_fn_n": _mean(r.delta_fn_n for r in rs),
-        }
-    return out
+    return bit_grouped(((descriptor.bit, report) for descriptor, report in reports
+                        if report.verdict == "sdc"),
+                       mean_delta_fp=attrgetter("delta_fp"),
+                       mean_delta_fn_n=attrgetter("delta_fn_n"))
 
 
 def baseline_occupancy(

@@ -13,9 +13,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from odfault.geometry import Box, Detection, clip
+from odfault.geometry import Box, Detection
 
 __all__ = ["DataError", "DetectionRecord", "read_records", "write_records", "record_from_trace"]
+
+# Largest record image side: scoring an image rasterizes a few width x height
+# boolean masks, 64 MB each at 8192 x 8192.
+MAX_RECORD_SIDE = 8192
 
 
 class DataError(Exception):
@@ -79,8 +83,9 @@ def _parse_box(raw, width, height, where):
         if math.isnan(coord):
             raise DataError(f"{where}: bbox coordinate is NaN")
         coords.append(coord)
-    # clipping also squashes infinities onto the image boundary
-    return clip(Box(*coords), width, height)
+    # clamping to the image also squashes infinities onto its boundary; it is
+    # monotone, so clamping before Box sorts the corners gives the clipped box
+    return Box(*(min(max(c, 0.0), side) for c, side in zip(coords, (width, height) * 2)))
 
 
 def _parse_detection(raw, width, height, where, scored) -> Detection:
@@ -124,6 +129,8 @@ def _parse_record(obj: dict, where: str) -> DetectionRecord:
     for name, value in (("width", width), ("height", height)):
         if not _is_int(value):
             raise DataError(f"{where}: {name!r} must be an integer, got {value!r}")
+        if value > MAX_RECORD_SIDE:
+            raise DataError(f"{where}: {name!r} must be at most {MAX_RECORD_SIDE} pixels")
     if width <= 0 or height <= 0:
         raise DataError(f"{where}: non-positive image dimensions {width}x{height}")
     if not (isinstance(flags, dict)
@@ -164,6 +171,8 @@ def read_records(path) -> list[DetectionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # an integer literal too long to convert
+                raise DataError(f"{where}: {exc}") from exc
             records.append(_parse_record(obj, where))
     if not records:
         raise DataError(f"{path}: no records found")

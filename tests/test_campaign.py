@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from odfault import cli
 from odfault.campaign import (
     CSV_COLUMNS,
     MAX_SCENE_SIDE,
@@ -55,6 +56,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CampaignConfig.from_json({"mode": "permanent", "seed": 1,
                                   "sequence": {"n_frames": 10}})  # shorter than tracker n
+
+
+def test_config_rejects_the_pr_experiment_mode():
+    # simulate-pr takes its own flags; no campaign config describes it
+    with pytest.raises(ConfigError, match="unknown mode"):
+        CampaignConfig.from_json({"mode": "simulate_pr", "seed": 1})
 
 
 @pytest.mark.parametrize("doc", [
@@ -427,6 +434,21 @@ def test_cli_simulate_pr(tmp_path):
     result = _run_cli(["simulate-pr", "--seed", "11", "--out", str(out)])
     assert result.returncode == 0, result.stderr
     assert (out / "pr_summary.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p-tp", "2"],
+    ["--fp-rate", "nan"],
+    ["--conf-lo", "0.9", "--conf-hi", "0.1"],
+    ["--conf-lo", "nan"],
+    ["--conf-hi", "inf"],
+    ["--objects", "-5"],
+])
+def test_cli_simulate_pr_rejects_bad_generator_flags(tmp_path, capsys, flags):
+    out = tmp_path / "pr"
+    assert cli.main(["simulate-pr", "--seed", "11", "--out", str(out), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_pr_rejects_config(tmp_path):

@@ -47,7 +47,7 @@ def _category_policies(draw):
 def _config_docs(draw):
     m = draw(st.integers(1, 20))
     n = draw(st.integers(m, 30))
-    mode = draw(st.sampled_from(["transient", "permanent", "ingest", "simulate_pr"]))
+    mode = draw(st.sampled_from(["transient", "permanent", "ingest"]))
     return {
         "mode": mode,
         "seed": draw(st.integers(0, 2**63)),

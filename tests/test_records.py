@@ -10,6 +10,7 @@ import pytest
 from odfault.detector import SceneSpec, generate_scene, infer, reference_model
 from odfault.geometry import Box, Detection
 from odfault.records import (
+    MAX_RECORD_SIDE,
     DataError,
     DetectionRecord,
     read_records,
@@ -163,6 +164,30 @@ def test_record_values_are_checked_not_coerced(tmp_path, field, value):
     obj[field] = value
     path.write_text(json.dumps(_record().to_json()) + "\n" + json.dumps(obj) + "\n")
     with pytest.raises(DataError, match=rf":2: '{field}' must be"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("side", [MAX_RECORD_SIDE + 1, 10**400], ids=["max+1", "1e400"])
+def test_record_sides_are_bounded(tmp_path, field, side):
+    # a side of 10**400 with a coordinate of 1e400 used to escape as an
+    # overflow while scoring
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    obj[field] = side
+    obj["detections"][0]["bbox"] = [0, 0, "BIG", "BIG"]
+    line = json.dumps(obj).replace('"BIG"', "1e400")
+    path.write_text(json.dumps(_record().to_json()) + "\n" + line + "\n")
+    with pytest.raises(DataError, match=rf":2: '{field}' must be at most {MAX_RECORD_SIDE}"):
+        read_records(path)
+
+
+def test_overlong_integer_literal_is_data_error(tmp_path):
+    path = tmp_path / "r.ndjson"
+    obj = _record().to_json()
+    obj["width"] = "DIGITS"
+    path.write_text(json.dumps(obj).replace('"DIGITS"', "9" * 5000) + "\n")
+    with pytest.raises(DataError, match=":1"):
         read_records(path)
 
 
