@@ -24,7 +24,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
 from operator import attrgetter, itemgetter
@@ -262,6 +261,8 @@ def _run_items(cfg: CampaignConfig, items, work) -> list:
                   shape_catalog(model, cfg.scene_spec.height, cfg.scene_spec.width))
     if cfg.workers == 1:
         return [result for item in items for result in run(item)]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays this import
+
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         chunk = max(1, len(items) // (cfg.workers * 4))
         return [result for results in pool.map(run, items, chunksize=chunk)

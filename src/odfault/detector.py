@@ -32,7 +32,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from odfault.bits import FaultDescriptor, FaultTarget, ShapeCatalog, apply_fault
 from odfault.geometry import Box, Detection, clip, nms
@@ -394,23 +393,64 @@ def _decode(scores: np.ndarray, model: DetectorModel, width: int, height: int) -
     detections: list[Detection] = []
     for category in range(scores.shape[0]):
         occupied = scores[category] > SCORE_GATE  # NaN scores gate to unoccupied
-        labels, count = ndimage.label(occupied)
-        if count == 0:
-            continue
-        areas = np.bincount(labels.ravel())
-        for comp, slc in enumerate(ndimage.find_objects(labels), start=1):
-            if slc is None:
-                continue
-            area = int(areas[comp])
+        for area, top, left, bottom, right in _components(occupied):
             conf = _sigmoid32(F32(0.25) * (F32(area) - F32(4.0)))
             if conf > model.confidence_threshold:
-                box = clip(
-                    Box(float(slc[1].start), float(slc[0].start),
-                        float(slc[1].stop), float(slc[0].stop)),
-                    width, height,
-                )
+                box = clip(Box(float(left), float(top), float(right), float(bottom)), width, height)
                 detections.append(Detection(box, category, float(conf)))
     return nms(detections, model.nms_threshold, model.max_detections)
+
+
+def _components(mask: np.ndarray) -> list[tuple[int, int, int, int, int]]:
+    """4-connected components of a 2-D bool mask as ``(area, top, left,
+    bottom, right)`` with exclusive bottom/right, in raster order of each
+    component's first pixel.
+
+    The mask is cut into horizontal runs of set pixels; a union-find joins
+    runs in adjacent rows whose column ranges share a column, always keeping
+    the earlier run as the root, so a component's root is its first run.
+    """
+    h, w = mask.shape
+    stride = w + 2
+    padded = np.zeros((h, stride), dtype=bool)
+    padded[:, 1:-1] = mask
+    flat = padded.ravel()
+    # Flat indices of each run's first pixel and of the pixel after it; the
+    # clear border columns keep runs within a row and the keys sorted.
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    if not len(edges):
+        return []
+    start_keys, end_keys = edges[0::2], edges[1::2]
+    # The runs of the row above that share a column with run k are one
+    # contiguous index range.
+    first = np.searchsorted(end_keys, start_keys - stride, side="right").tolist()
+    stop = np.searchsorted(start_keys, end_keys - stride, side="left").tolist()
+
+    parent = list(range(len(first)))
+    for k, (lo, hi) in enumerate(zip(first, stop)):
+        for m in range(lo, hi):
+            a, b = sorted((_root(parent, m), _root(parent, k)))
+            parent[b] = parent[k] = a
+
+    boxes: dict[int, list[int]] = {}
+    for k, (start, end) in enumerate(zip(start_keys.tolist(), end_keys.tolist())):
+        row, left = divmod(start, stride)
+        right = end - row * stride
+        box = boxes.get(root := _root(parent, k))
+        if box is None:
+            boxes[root] = [right - left, row, left - 1, row + 1, right - 1]
+        else:
+            box[0] += right - left
+            box[2] = min(box[2], left - 1)
+            box[3] = row + 1
+            box[4] = max(box[4], right - 1)
+    return [tuple(box) for box in boxes.values()]
+
+
+def _root(parent: list[int], k: int) -> int:
+    while parent[k] != k:
+        k = parent[k]
+    return k
 
 
 def _corrupt_weights(model: DetectorModel, fault: FaultDescriptor) -> DetectorModel:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from scipy.optimize import linear_sum_assignment
-
 from odfault.geometry import Detection, iou
 
 __all__ = [
@@ -97,18 +95,25 @@ def build_cost_matrix(
     sentinel strictly larger than any achievable sum of real costs, so the
     solver stays total without infinities.
     """
+    return _cost_matrix(preds, gts, iou_threshold, policy)[0]
+
+
+def _cost_matrix(preds, gts, iou_threshold, policy):
+    """``build_cost_matrix`` plus its real-cost cells as ``(pred, gt, IoU)``
+    in row order."""
     sentinel = _sentinel(preds)
-    matrix = []
-    for p in preds:
+    matrix, real = [], []
+    for r, p in enumerate(preds):
         row = []
-        for g in gts:
+        for c, g in enumerate(gts):
             overlap = iou(p.box, g.box)
             if overlap >= iou_threshold and policy.compatible(p.category, g.category):
                 row.append(1.0 - overlap)
+                real.append((r, c, overlap))
             else:
                 row.append(sentinel)
         matrix.append(row)
-    return matrix
+    return matrix, real
 
 
 def _sentinel(preds) -> float:
@@ -125,16 +130,16 @@ def assign(
     if not preds or not gts:
         return MatchOutcome(tp=0, fp=len(preds), fn=len(gts), pairs=())
 
-    matrix = build_cost_matrix(preds, gts, iou_threshold, policy)
-    sentinel = _sentinel(preds)
-    rows, cols = linear_sum_assignment(matrix)
-    assigned = sorted(zip(rows.tolist(), cols.tolist()))
-    assigned = _canonicalize_ties(matrix, assigned)
-
-    pairs = []
-    for r, c in assigned:
-        if matrix[r][c] < sentinel:
-            pairs.append((r, c, iou(preds[r].box, gts[c].box)))
+    matrix, pairs = _cost_matrix(preds, gts, iou_threshold, policy)
+    if len(pairs) != len({r for r, _, _ in pairs}) or len(pairs) != len({c for _, c, _ in pairs}):
+        # Some prediction or ground truth has two real candidates: solve.
+        # Otherwise the real cells are the answer: the sentinel forces the
+        # optimum to hold every one of them, and a tie swap that moved one
+        # would need two sentinel cells to cost the same as a real pair.
+        overlaps = {(r, c): overlap for r, c, overlap in pairs}
+        pairs = [(r, c, overlaps[r, c])
+                 for r, c in _canonicalize_ties(matrix, sorted(_solve_lsap(matrix)))
+                 if (r, c) in overlaps]
     tp = len(pairs)
     return MatchOutcome(tp=tp, fp=len(preds) - tp, fn=len(gts) - tp, pairs=tuple(pairs))
 
@@ -144,7 +149,7 @@ def _canonicalize_ties(matrix, assigned):
 
     Pairwise swaps that keep the total cost bit-identical are applied until
     a fixpoint, which makes solver tie-breaking deterministic for golden
-    tests regardless of scipy version.
+    tests.
     """
     assigned = list(assigned)
     changed = True
@@ -157,6 +162,77 @@ def _canonicalize_ties(matrix, assigned):
                     assigned[i], assigned[j] = (r1, c2), (r2, c1)
                     changed = True
     return assigned
+
+
+def _solve_lsap(matrix: list[list[float]]) -> list[tuple[int, int]]:
+    """Minimum-cost rectangular assignment as ``(row, col)`` pairs.
+
+    Crouse's shortest augmenting path (IEEE TAES 52(4), 2016), written to
+    perform the floating-point operations of scipy's
+    ``linear_sum_assignment`` in the same order, so that among equal-cost
+    optima it picks the same one: a tall matrix is transposed, the
+    remaining columns are scanned in reverse, a tie goes to a column
+    without a row, and the duals are updated row first.
+    """
+    nr, nc = len(matrix), len(matrix[0])
+    transpose = nc < nr
+    if transpose:
+        matrix = [list(col) for col in zip(*matrix)]
+        nr, nc = nc, nr
+    inf = float("inf")
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
+    for cur_row in range(nr):
+        shortest = [inf] * nc
+        visited_rows = []
+        visited_cols = []
+        remaining = list(range(nc - 1, -1, -1))
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            row, ui = matrix[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in visited_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:
+        return sorted((row, col) for col, row in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
 def fp_type_breakdown(

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from odfault.geometry import mask_popcount
 
@@ -58,7 +57,6 @@ def track(blobs: list[np.ndarray], cfg: TrackerConfig) -> PersistenceVerdict:
     if any(b.shape != shape for b in blobs):
         raise ValueError("all blob masks must share dimensions")
 
-    window = 2 * cfg.vicinity_px + 1
     counts = np.zeros(shape, dtype=np.int32)
     masks = []
     for t, blob in enumerate(blobs):
@@ -69,15 +67,30 @@ def track(blobs: list[np.ndarray], cfg: TrackerConfig) -> PersistenceVerdict:
             masks.append(np.zeros(shape, dtype=bool))
             continue
         strong = counts >= cfg.m
-        if cfg.vicinity_px > 0:
-            near_strong = ndimage.maximum_filter(strong, size=window, mode="constant", cval=False)
-        else:
-            near_strong = strong
+        near_strong = _dilate(strong, cfg.vicinity_px)
         persistent = blob & near_strong
         if cfg.coasting:
             persistent = persistent | (~blob & strong)
         masks.append(persistent)
     return PersistenceVerdict(tuple(masks), cfg)
+
+
+def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Pixels within Chebyshev distance ``radius`` of a set pixel of a 2-D
+    bool mask: the window is separable, one pass per axis."""
+    if radius == 0 or not mask.any():
+        return mask
+    return _window_any(_window_any(mask.T, radius).T, radius)
+
+
+def _window_any(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Whether any row within ``radius`` rows of each row is set, per
+    column, from an ``int32`` prefix sum over the rows."""
+    size = mask.shape[0]
+    prefix = np.zeros((size + 1,) + mask.shape[1:], dtype=np.int32)
+    np.cumsum(mask, axis=0, dtype=np.int32, out=prefix[1:])
+    index = np.arange(size)
+    return prefix[np.minimum(index + radius + 1, size)] - prefix[np.maximum(index - radius, 0)] > 0
 
 
 def occupancy_series(

@@ -1,16 +1,22 @@
 """Property tests: the config echo round trip, assignment invariances,
 resumed inference against the dense every-tap reference, AP against the
-per-threshold greedy reference, and mutated record files at the CLI."""
+per-threshold greedy reference, mutated record files at the CLI, the
+in-house assignment solver, component labeller and tracker dilation
+against scipy, and byte-identical outputs at one and two workers."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
+import pathlib
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.optimize import linear_sum_assignment
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -19,10 +25,13 @@ import ap_reference  # noqa: E402
 from dense_reference import dense_infer  # noqa: E402
 from odfault import ap, cli  # noqa: E402
 from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
-from odfault.campaign import CampaignConfig  # noqa: E402
-from odfault.detector import SceneSpec, generate_scene, infer, reference_model, shape_catalog  # noqa: E402
-from odfault.geometry import Box, Detection  # noqa: E402
-from odfault.matching import CategoryPolicy, assign  # noqa: E402
+from odfault.campaign import CampaignConfig, run_permanent, run_transient  # noqa: E402
+from odfault.detector import (  # noqa: E402
+    SceneSpec, _components, generate_scene, infer, reference_model, shape_catalog)
+from odfault.geometry import Box, Detection, iou  # noqa: E402
+from odfault.matching import (  # noqa: E402
+    CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix)
+from odfault.persistence import _dilate  # noqa: E402
 
 
 def _ordered_pair(lo, hi):
@@ -100,6 +109,118 @@ def test_assign_ignores_confidence_rescaling(preds, gts, exponent, iou_threshold
     scale = 2.0 ** -exponent
     rescaled = [replace(p, confidence=p.confidence * scale) for p in preds]
     assert assign(rescaled, gts, iou_threshold, policy) == assign(preds, gts, iou_threshold, policy)
+
+
+@st.composite
+def _tie_heavy_matrices(draw):
+    """Cost matrices as ``assign`` builds them, wide, tall, 1xN or Nx1, with
+    few distinct values so that equal-cost optima abound."""
+    long_side = draw(st.integers(1, 8))
+    short_side = draw(st.integers(1, long_side))
+    rows, cols = draw(st.sampled_from([(short_side, long_side), (long_side, short_side),
+                                       (1, long_side), (long_side, 1)]))
+    sentinel = float(rows) + 1.0
+    cell = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0 - 0.6, 1.0 - 0.7, sentinel]),
+                     st.just(sentinel), st.floats(0.0, 0.5))
+    return [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_matrices())
+def test_assignment_solver_matches_scipy(matrix):
+    rows, cols = linear_sum_assignment(matrix)
+    expected = _canonicalize_ties(matrix, sorted(zip(rows.tolist(), cols.tolist())))
+    assert _canonicalize_ties(matrix, sorted(_solve_lsap(matrix))) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(preds=_detections, gts=_detections, iou_threshold=st.floats(0.05, 1.0),
+       policy=st.sampled_from([CategoryPolicy.strict(), CategoryPolicy.none()]))
+def test_assign_matches_scipy_assignment(preds, gts, iou_threshold, policy):
+    # covers the shortcut taken when no row or column has two real costs
+    hypothesis.assume(preds and gts)
+    matrix = build_cost_matrix(preds, gts, iou_threshold, policy)
+    rows, cols = linear_sum_assignment(matrix)
+    sentinel = float(len(preds)) + 1.0
+    pairs = tuple((r, c, iou(preds[r].box, gts[c].box)) for r, c in _canonicalize_ties(
+        matrix, sorted(zip(rows.tolist(), cols.tolist()))) if matrix[r][c] < sentinel)
+    assert assign(preds, gts, iou_threshold, policy).pairs == pairs
+
+
+@st.composite
+def _masks(draw):
+    """Bool masks of any side up to 70: empty, full, checkerboard, one row,
+    one column, or random at a drawn density."""
+    height, width = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(["empty", "full", "checkerboard", "row", "column", "random"]))
+    if kind == "row":
+        height = 1
+    elif kind == "column":
+        width = 1
+    if kind == "empty":
+        return np.zeros((height, width), dtype=bool)
+    if kind == "full":
+        return np.ones((height, width), dtype=bool)
+    if kind == "checkerboard":
+        return np.indices((height, width)).sum(axis=0) % 2 == draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((height, width)) < draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masks())
+def test_component_labeller_matches_ndimage(mask):
+    labels, _ = ndimage.label(mask)
+    areas = np.bincount(labels.ravel())
+    expected = [(int(areas[k]), rows.start, cols.start, rows.stop, cols.stop)
+                for k, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1)]
+    assert _components(mask) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_masks(), radius=st.integers(0, 60), sparse=st.booleans())
+def test_dilation_matches_maximum_filter(mask, radius, sparse):
+    if sparse:  # keep a few set pixels so the window edges show
+        mask = mask & (np.indices(mask.shape).sum(axis=0) % 17 == 0)
+    expected = ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant", cval=False)
+    dilated = _dilate(mask, radius)
+    assert dilated.dtype == bool
+    assert np.array_equal(dilated, expected)
+
+
+@st.composite
+def _small_campaigns(draw):
+    """A runner and a small transient or permanent config document for it."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, 8))
+    doc = {
+        "seed": draw(st.integers(0, 2**32)),
+        "n_injections": draw(st.integers(1, 6)),
+        "target": draw(st.sampled_from(["neuron", "weight"])),
+        "scene": {"pool": draw(st.integers(1, 4)), "fixed": draw(st.booleans())},
+    }
+    if draw(st.booleans()):
+        return run_transient, dict(doc, mode="transient", bit_policy=draw(
+            st.sampled_from(["all_32", "exponent_only", "mantissa_only"])))
+    return run_permanent, dict(
+        doc, mode="permanent", emit_masks=draw(st.integers(0, 2)),
+        sequence={"n_frames": draw(st.integers(n, 16))},
+        tracker={"m": m, "n": n, "vicinity_px": draw(st.integers(0, 60))})
+
+
+def _written_files(out_dir):
+    return {name: pathlib.Path(out_dir, name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+@settings(max_examples=6, deadline=None)
+@given(_small_campaigns())
+def test_outputs_identical_at_one_and_two_workers(campaign):
+    runner, doc = campaign
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two = os.path.join(tmp, "w1"), os.path.join(tmp, "w2")
+        runner(CampaignConfig.from_json(doc), one)
+        runner(CampaignConfig.from_json(dict(doc, workers=2)), two)
+        assert _written_files(one) == _written_files(two)
 
 
 MODEL = reference_model()
