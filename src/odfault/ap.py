@@ -20,7 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from odfault.geometry import iou
+from odfault.geometry import _ious
 
 __all__ = [
     "PrCurve",
@@ -87,9 +87,11 @@ def _category_outcomes(preds_by_image, gts_by_image, thresholds):
                 if entries and gts:
                     # ground truths are numbered across images in index order,
                     # so ties between one detection's pairs go to the lowest
+                    gt_boxes = [gt.box for gt in gts]
                     for i, (_, det) in enumerate(entries, start=len(confidences)):
-                        pairs = [(j, value) for j, gt in enumerate(gts, start=n_numbered)
-                                 if (value := iou(det.box, gt.box)) >= floor and value > 0.0]
+                        pairs = [(j, value) for j, value in enumerate(_ious(det.box, gt_boxes),
+                                                                      start=n_numbered)
+                                 if value >= floor and value > 0.0]
                         if pairs:
                             cands[i] = pairs
                     n_numbered += len(gts)

@@ -305,11 +305,20 @@ class _Scored:
 
 def _score(cfg: CampaignConfig, counts_orig, dims, nan: bool, inf: bool, *, key,
            injection_id=None, fault=None, image_id, gts, orig, corr) -> _Scored:
-    """Image-wise verdict and severity of one corrupted image against its original."""
+    """Image-wise verdict and severity of one corrupted image against its original.
+
+    A corrupted list equal to the original by value has the original's counts
+    and raster: value-equal lists differ at most in the sign of a zero or in
+    int versus float, and the assignment and the rasterizer only compare and
+    do arithmetic on values, which floats and ints agree on below 2**53
+    (record and detector boxes hold floats and image sides).
+    """
+    unchanged = corr == orig
+    counts_corr = counts_orig if unchanged else _counts(cfg, corr, gts)
     evaluation = ImageEval(image_id=image_id, counts_orig=counts_orig,
-                           counts_corr=_counts(cfg, corr, gts), inf_flag=inf, nan_flag=nan)
-    return _Scored(key, injection_id, fault, image_id,
-                   severity(evaluation, orig, corr, gts, dims), gts, orig, corr)
+                           counts_corr=counts_corr, inf_flag=inf, nan_flag=nan)
+    report = severity(evaluation, orig, corr, gts, dims, same_raster=unchanged)
+    return _Scored(key, injection_id, fault, image_id, report, gts, orig, corr)
 
 
 def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCatalog,
@@ -364,6 +373,15 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows([_fmt(cell) for cell in row] for row in rows)
+
+
+def _make_out_dir(out_dir) -> None:
+    """Create the output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {os.fspath(out_dir)!r}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _write_json(path, obj) -> None:
@@ -425,7 +443,7 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
     """Transient single-bit-flip campaign; returns the summary report."""
     if cfg.mode != "transient":
         raise ConfigError(f"run_transient got a {cfg.mode!r} config")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     scored = sorted(_run_items(cfg, range(_scene_pool(cfg)), _transient_scene),
                     key=attrgetter("injection_id"))
     bit_table = bit_averaged((s.fault, s.report) for s in scored)  # ascending bits
@@ -524,7 +542,7 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
     """Stuck-at-1 exponent-bit campaign over a frame sequence."""
     if cfg.mode != "permanent":
         raise ConfigError(f"run_permanent got a {cfg.mode!r} config")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     results = _run_items(cfg, _permanent_chunks(cfg), _permanent_chunk)
     n = len(results)
     levels = cfg.severity_levels
@@ -569,7 +587,7 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
 
 def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict:
     """Score externally produced detection record pairs."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     orig_records = read_records(orig_path)
     corr_records = read_records(corr_path)
 
@@ -626,7 +644,7 @@ def simulate_pr(
             conf_range=tuple(conf_range), seed=seed)
     except ValueError as exc:
         raise ConfigError(f"invalid PR experiment: {exc}") from exc
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     baseline = ap_mod.generate_synthetic_set(cfg)
 
     variants = [

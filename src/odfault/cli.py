@@ -71,17 +71,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args, mode) -> CampaignConfig:
     base = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                base = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
     overrides = {key: getattr(args, key, None) for key in
                  ("n_injections", "target", "workers", "bit_policy", "n_frames", "emit_masks")}
-    return CampaignConfig.from_json(base, mode=mode, seed=args.seed, **overrides)
+    try:
+        if args.config:
+            try:
+                with open(args.config, "r", encoding="utf-8") as handle:
+                    base = json.load(handle)
+            except OSError as exc:
+                raise ConfigError(f"cannot read config: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
+        return CampaignConfig.from_json(base, mode=mode, seed=args.seed, **overrides)
+    except RecursionError as exc:  # in json.load, or in repr for a message
+        raise ConfigError("config is nested too deeply") from exc
 
 
 def main(argv=None) -> int:

@@ -85,6 +85,26 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def _ious(box: Box, others: list[Box]) -> list[float]:
+    """``[iou(box, other) for other in others]``, bit for bit: the same
+    operations in the same order, with ``box``'s corners and area read once."""
+    ax1, ay1, ax2, ay2 = box.x1, box.y1, box.x2, box.y2
+    a_area = (ax2 - ax1) * (ay2 - ay1)
+    out = []
+    for b in others:
+        bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+        # min(a, b) is b only when b < a, and max(a, b) only when b > a
+        ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+        iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+        if ix <= 0.0 or iy <= 0.0:
+            out.append(0.0)
+            continue
+        inter = ix * iy
+        union = a_area + (bx2 - bx1) * (by2 - by1) - inter
+        out.append(0.0 if union <= 0.0 else inter / union)
+    return out
+
+
 def clip(box: Box, width: float, height: float) -> Box:
     """Clamp a box to the image extent; may collapse to zero area."""
     return Box(

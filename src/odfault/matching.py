@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from odfault.geometry import Detection, iou
+from odfault.geometry import Detection, _ious, iou
 
 __all__ = [
     "CategoryPolicy",
@@ -103,10 +103,10 @@ def _cost_matrix(preds, gts, iou_threshold, policy):
     in row order."""
     sentinel = _sentinel(preds)
     matrix, real = [], []
+    gt_boxes = [g.box for g in gts]
     for r, p in enumerate(preds):
         row = []
-        for c, g in enumerate(gts):
-            overlap = iou(p.box, g.box)
+        for c, (g, overlap) in enumerate(zip(gts, _ious(p.box, gt_boxes))):
             if overlap >= iou_threshold and policy.compatible(p.category, g.category):
                 row.append(1.0 - overlap)
                 real.append((r, c, overlap))

@@ -109,12 +109,15 @@ def severity(
     dets_corr: list[Detection],
     gts: list[Detection],
     image_dims: tuple[int, int],
+    *,
+    same_raster: bool = False,
 ) -> SdcReport:
     """Severity features of one corrupted image (boxes must be pre-clipped).
 
     ``image_dims`` is (width, height). Confidence and size means run over
     all detections of each condition (TPs and FPs alike); sizes are box
-    areas in squared pixels.
+    areas in squared pixels. ``same_raster`` says the caller knows both
+    lists cover the same pixels, so the original's raster stands for both.
     """
     width, height = image_dims
     if width <= 0 or height <= 0:
@@ -126,7 +129,8 @@ def severity(
     delta_fn_n = (tp_orig - tp_corr) / tp_orig if tp_orig > 0 else None
 
     raster_orig = rasterize([d.box for d in dets_orig], width, height)
-    raster_corr = rasterize([d.box for d in dets_corr], width, height)
+    raster_corr = (raster_orig if same_raster
+                   else rasterize([d.box for d in dets_corr], width, height))
     fp_blob = mask_diff(raster_corr, raster_orig)
     fn_blob = mask_diff(raster_orig, raster_corr)
     orig_area = mask_popcount(raster_orig)

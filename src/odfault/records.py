@@ -10,7 +10,6 @@ with the same assignment and severity machinery as the built-in detector.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from odfault.geometry import Box, Detection
@@ -57,66 +56,83 @@ class DetectionRecord:
         }
 
 
-def _number(value):
-    """A JSON number as a float, else ``None``: ``true`` is not 1, ``"0.9"`` is
-    not 0.9, and an integer too large for a float is out of range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return None
+# Values come from json.loads, which builds only exact dict, list, str, int,
+# float, bool and None objects, so each check tests the exact type once:
+# ``true`` is not 1, ``64.9`` is not 64 and ``"0.9"`` is not 0.9.
 
 
-def _malformed(where, field, value):
-    return DataError(f"{where}: missing or malformed {field!r} (got {value!r})")
+def _malformed(field, value):
+    return DataError(f"missing or malformed {field!r} (got {value!r})")
 
 
-def _parse_box(raw, width, height, where):
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise DataError(f"{where}: bbox must be [x1, y1, x2, y2], got {raw!r}")
+def _parse_box(raw, width, height) -> Box:
+    """The box of a ``bbox`` value, clamped to the image. A coordinate is a
+    JSON number within float range and not NaN."""
+    if type(raw) is not list or len(raw) != 4:
+        raise DataError(f"bbox must be [x1, y1, x2, y2], got {raw!r}")
     coords = []
-    for value in raw:
-        coord = _number(value)
-        if coord is None:
-            raise _malformed(where, "bbox", raw)
-        if math.isnan(coord):
-            raise DataError(f"{where}: bbox coordinate is NaN")
-        coords.append(coord)
-    # clamping to the image also squashes infinities onto its boundary; it is
-    # monotone, so clamping before Box sorts the corners gives the clipped box
-    return Box(*(min(max(c, 0.0), side) for c, side in zip(coords, (width, height) * 2)))
+    for value, side in zip(raw, (width, height, width, height)):
+        kind = type(value)
+        if kind is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise _malformed("bbox", raw) from None
+        elif kind is not float:
+            raise _malformed("bbox", raw)
+        elif value != value:
+            raise DataError("bbox coordinate is NaN")
+        # clamping to the image also squashes infinities onto its boundary; it
+        # is monotone, so clamping before Box sorts the corners gives the
+        # clipped box
+        coords.append(0.0 if value < 0.0 else side if value > side else value)
+    return Box(*coords)
 
 
-def _parse_detection(raw, width, height, where, scored) -> Detection:
-    """One detection (``scored``) or ground-truth box; its values are checked,
-    never coerced, and errors name the field."""
-    if not isinstance(raw, dict):
-        raise DataError(f"{where}: must be a JSON object, got {raw!r}")
+def _parse_detection(raw, width, height, scored) -> Detection:
+    """One detection (``scored``) or ground-truth box. Errors name the field
+    but not the location, which the caller adds."""
+    if type(raw) is not dict:
+        raise DataError(f"must be a JSON object, got {raw!r}")
     if "bbox" not in raw:
-        raise _malformed(where, "bbox", None)
-    box = _parse_box(raw["bbox"], width, height, where)
+        raise _malformed("bbox", None)
+    box = _parse_box(raw["bbox"], width, height)
     category = raw.get("category")
-    if not _is_int(category):
-        raise _malformed(where, "category", category)
+    if type(category) is not int:
+        raise _malformed("category", category)
     confidence = 1.0
     if scored:
-        confidence = _number(raw.get("confidence", 1.0))
-        if confidence is None:
-            raise _malformed(where, "confidence", raw.get("confidence"))
-    if not 0.0 <= confidence <= 1.0:
-        raise DataError(f"{where}: confidence {confidence} outside [0, 1]")
+        value = raw.get("confidence", 1.0)
+        kind = type(value)
+        if kind is float:
+            confidence = value
+        elif kind is int:
+            try:
+                confidence = float(value)
+            except OverflowError:
+                raise _malformed("confidence", value) from None
+        else:
+            raise _malformed("confidence", value)
+        if not 0.0 <= confidence <= 1.0:
+            raise DataError(f"confidence {confidence} outside [0, 1]")
     return Detection(box, category, confidence)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: ``true`` is not 1 and ``64.9`` is not 64."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _parse_detections(raws, width, height, where, kind, scored) -> tuple[Detection, ...]:
+    """Every entry of a ``detections`` or ``ground_truth`` list; an error
+    names the entry as ``{where} {kind} {index}``, built only on failure."""
+    parsed = []
+    try:
+        for raw in raws:
+            parsed.append(_parse_detection(raw, width, height, scored))
+    except DataError as exc:
+        raise DataError(f"{where} {kind} {len(parsed)}: {exc}") from None
+    return tuple(parsed)
 
 
 def _parse_record(obj: dict, where: str) -> DetectionRecord:
     """One record; its values are checked, never coerced, and errors name the field."""
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise DataError(f"{where}: a record must be a JSON object, got {obj!r}")
     for name in ("image_id", "width", "height", "detections", "ground_truth"):
         if name not in obj:
@@ -124,32 +140,28 @@ def _parse_record(obj: dict, where: str) -> DetectionRecord:
     image_id, width, height = obj["image_id"], obj["width"], obj["height"]
     raw_dets, raw_gts = obj["detections"], obj["ground_truth"]
     flags = obj.get("flags", {})
-    if not (isinstance(image_id, str) or _is_int(image_id)):
+    if type(image_id) is not str and type(image_id) is not int:
         raise DataError(f"{where}: 'image_id' must be a string or an integer, got {image_id!r}")
     for name, value in (("width", width), ("height", height)):
-        if not _is_int(value):
+        if type(value) is not int:
             raise DataError(f"{where}: {name!r} must be an integer, got {value!r}")
         if value > MAX_RECORD_SIDE:
             raise DataError(f"{where}: {name!r} must be at most {MAX_RECORD_SIDE} pixels")
     if width <= 0 or height <= 0:
         raise DataError(f"{where}: non-positive image dimensions {width}x{height}")
-    if not (isinstance(flags, dict)
-            and isinstance(flags.get("nan", False), bool) and isinstance(flags.get("inf", False), bool)):
+    if not (type(flags) is dict
+            and type(flags.get("nan", False)) is bool and type(flags.get("inf", False)) is bool):
         raise DataError(f"{where}: 'flags' must be an object with boolean 'nan' and 'inf', "
                         f"got {flags!r}")
 
-    if not isinstance(raw_dets, list) or not isinstance(raw_gts, list):
+    if type(raw_dets) is not list or type(raw_gts) is not list:
         raise DataError(f"{where}: 'detections' and 'ground_truth' must be lists")
-    detections = [_parse_detection(det, width, height, f"{where} detection {k}", True)
-                  for k, det in enumerate(raw_dets)]
-    ground_truth = [_parse_detection(g, width, height, f"{where} gt {k}", False)
-                    for k, g in enumerate(raw_gts)]
     return DetectionRecord(
         image_id=image_id,
         width=width,
         height=height,
-        detections=tuple(detections),
-        ground_truth=tuple(ground_truth),
+        detections=_parse_detections(raw_dets, width, height, where, "detection", True),
+        ground_truth=_parse_detections(raw_gts, width, height, where, "gt", False),
         nan_flag=flags.get("nan", False),
         inf_flag=flags.get("inf", False),
     )
@@ -159,7 +171,9 @@ def read_records(path) -> list[DetectionRecord]:
     """Parse an ndjson record file; errors carry the offending line number."""
     records = []
     try:
-        handle = open(path, "r", encoding="utf-8")
+        # bytes that are not UTF-8 decode to lone surrogates, so that the bad
+        # line can be named
+        handle = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read records: {exc}") from exc
     with handle:
@@ -167,13 +181,20 @@ def read_records(path) -> list[DetectionRecord]:
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(f"{where}: not valid UTF-8") from exc
             try:
                 obj = json.loads(line)
+                records.append(_parse_record(obj, where))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
             except ValueError as exc:  # an integer literal too long to convert
                 raise DataError(f"{where}: {exc}") from exc
-            records.append(_parse_record(obj, where))
+            except RecursionError as exc:  # in json.loads, or in repr for a message
+                raise DataError(f"{where}: JSON nested too deeply") from exc
     if not records:
         raise DataError(f"{path}: no records found")
     return records

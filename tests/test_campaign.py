@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
@@ -410,10 +411,16 @@ def test_cli_transient_and_exit_codes(tmp_path):
     (["transient"], {"scene": {"fixed": "false"}}),
     (["permanent"], {"seed": True}),
     (["transient"], {"scene": {"width": 100000, "height": 100000}}),
+    pytest.param(["transient"], b'{"seed": 1, "mode": "\xfftransient"}', id="not-utf8"),
+    pytest.param(["permanent", "--n-frames", "20"], b"[" * 100000, id="nested-too-deep"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, command, doc):
+    """``doc`` is a JSON document, or the raw bytes of the config file."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        cfg_path.write_bytes(doc)
+    else:
+        cfg_path.write_text(json.dumps(doc))
     result = _run_cli([*command, "--config", str(cfg_path), "--seed", "1",
                        "--n-injections", "2", "--out", str(tmp_path / "out")])
     assert result.returncode == 2
@@ -480,18 +487,43 @@ def test_cli_ingest_missing_bbox_exit_code(tmp_path):
     ("flags", {"nan": "yes"}),
     ("width", 64.9),
     ("height", True),
+    pytest.param(None, b'{"image_id": "\xffimg2", "width": 64}', id="not-utf8"),
+    pytest.param(None, b"[" * 100000, id="nested-too-deep"),
 ])
 def test_cli_ingest_malformed_record_exit_code(tmp_path, field, value):
+    """Line 3 gets ``value`` in ``field``, or is the raw bytes ``value``."""
     orig_path, corr_path = _make_record_files(tmp_path)
-    lines = corr_path.read_text().splitlines()
-    record = json.loads(lines[2])
-    record[field] = value
-    lines[2] = json.dumps(record)
-    corr_path.write_text("\n".join(lines) + "\n")
+    lines = corr_path.read_bytes().splitlines()
+    if field is None:
+        lines[2] = value
+    else:
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record).encode()
+    corr_path.write_bytes(b"\n".join(lines) + b"\n")
     result = _run_cli(["ingest", "--orig", str(orig_path), "--corr", str(corr_path),
                        "--seed", "1", "--out", str(tmp_path / "out")])
     assert result.returncode == 3, result.stderr
-    assert f":3: '{field}'" in result.stderr and "Traceback" not in result.stderr
+    named = f":3: '{field}'" if field else f"{corr_path}:3: "
+    assert named in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["transient", "--n-injections", "2"],
+    ["permanent", "--n-injections", "1", "--n-frames", "20"],
+    # record files that do not exist: the output path is checked first
+    ["ingest", "--orig", "no-such-orig.ndjson", "--corr", "no-such-corr.ndjson"],
+    ["simulate-pr"],
+], ids=itemgetter(0))
+@pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-file"])
+def test_cli_unusable_out_exit_code(tmp_path, capsys, command, below_file):
+    """``--out`` naming a file, or a path below one, is a config error."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "out" if below_file else taken
+    assert cli.main([*command, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(str(out)) in err
 
 
 def test_cli_config_file_with_flag_overrides(tmp_path):

@@ -1,8 +1,10 @@
 """Property tests: the config echo round trip, assignment invariances,
-resumed inference against the dense every-tap reference, AP against the
-per-threshold greedy reference, mutated record files at the CLI, the
-in-house assignment solver, component labeller and tracker dilation
-against scipy, and byte-identical outputs at one and two workers."""
+the batched IoU against the per-pair one, resumed inference against the dense every-tap reference, AP against the
+per-threshold greedy reference, mutated record files at the CLI, record
+parsing against the ``isinstance`` reference, image scoring against
+``assign`` and ``severity`` called directly, the in-house assignment
+solver, component labeller and tracker dilation against scipy, and
+byte-identical outputs at one and two workers."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import math
 import os
 import pathlib
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,16 +24,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ap_reference  # noqa: E402
+import records_reference  # noqa: E402
 from dense_reference import dense_infer  # noqa: E402
 from odfault import ap, cli  # noqa: E402
 from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
-from odfault.campaign import CampaignConfig, run_permanent, run_transient  # noqa: E402
+from odfault.campaign import (  # noqa: E402
+    CampaignConfig, _score, run_permanent, run_transient)
 from odfault.detector import (  # noqa: E402
     SceneSpec, _components, generate_scene, infer, reference_model, shape_catalog)
-from odfault.geometry import Box, Detection, iou  # noqa: E402
+from odfault.geometry import Box, Detection, _ious, iou  # noqa: E402
 from odfault.matching import (  # noqa: E402
     CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix)
+from odfault.metrics import ImageEval, severity  # noqa: E402
 from odfault.persistence import _dilate  # noqa: E402
+from odfault.records import DataError, read_records  # noqa: E402
 
 
 def _ordered_pair(lo, hi):
@@ -109,6 +115,21 @@ def test_assign_ignores_confidence_rescaling(preds, gts, exponent, iou_threshold
     scale = 2.0 ** -exponent
     rescaled = [replace(p, confidence=p.confidence * scale) for p in preds]
     assert assign(rescaled, gts, iou_threshold, policy) == assign(preds, gts, iou_threshold, policy)
+
+
+# grid values make touching and equal edges common, and fractions in a
+# narrow range overlapping boxes with rounded areas; ints, -0.0, infinities
+# and NaN are values a box can hold
+_any_coord = st.one_of(st.integers(0, 3), st.sampled_from([0.5, 2.5, -0.0, -1.0]),
+                       st.floats(-1.0, 4.0), st.floats(-1.0, 4.0),
+                       st.sampled_from([math.inf, -math.inf, math.nan, 1e308]))
+_any_box = st.builds(Box, _any_coord, _any_coord, _any_coord, _any_coord)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box=_any_box, others=st.lists(_any_box, max_size=6))
+def test_batched_iou_matches_iou(box, others):
+    assert repr(_ious(box, others)) == repr([iou(box, other) for other in others])
 
 
 @st.composite
@@ -393,3 +414,152 @@ def test_cli_ingest_survives_mutated_records(line, in_corr):
         code = cli.main(["ingest", "--orig", orig, "--corr", corr, "--seed", "1",
                          "--out", os.path.join(tmp, "out")])
     assert code in (0, 3)
+
+
+# Record values as json.loads gives them back. Valid ones include -0.0,
+# +-inf, ints and the largest side; each odd value is a neighbour of a type
+# some check accepts: NaN, ints beyond float range, ``true`` (not 1),
+# strings, null, lists and objects.
+_record_coords = st.one_of(
+    st.floats(-10.0, 80.0), st.integers(-10, 80),
+    st.sampled_from([-0.0, math.inf, -math.inf, 1e300, 2**60, 8192]))
+_odd_numbers = st.sampled_from([math.nan, 10**400, -(10**400), 2**1024, -1.0, 2, 0.5, 8193, 0])
+_odd_values = st.one_of(
+    st.booleans(), _odd_numbers, _odd_numbers,
+    st.one_of(st.none(), st.text(max_size=3), st.just({"a": 1}),
+              st.lists(st.one_of(_record_coords, _odd_numbers), max_size=5)))
+
+
+def _record_entry(draw, scored):
+    entry = {"bbox": draw(st.lists(_record_coords, min_size=4, max_size=4)),
+             "category": draw(st.integers(0, 3))}
+    if scored and draw(st.integers(0, 3)) < 3:
+        entry["confidence"] = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0])))
+    return entry
+
+
+@st.composite
+def _record_docs(draw):
+    """A valid record, or one with a single value ``true``, NaN, odd or
+    missing: a record field, a flag, a detection or ground-truth entry, one
+    of its fields, or one bbox coordinate (missing: the bbox one short)."""
+    doc = {
+        "image_id": draw(st.one_of(st.text(max_size=4), st.integers(-5, 5))),
+        "width": draw(st.one_of(st.integers(1, 80), st.just(8192))),
+        "height": draw(st.integers(1, 80)),
+        "detections": [_record_entry(draw, True) for _ in range(draw(st.integers(0, 4)))],
+        "ground_truth": [_record_entry(draw, False) for _ in range(draw(st.integers(0, 3)))],
+    }
+    if draw(st.booleans()):
+        doc["flags"] = draw(st.fixed_dictionaries(
+            {}, optional={"nan": st.booleans(), "inf": st.booleans()}))
+    if draw(st.booleans()):
+        doc["extra"] = draw(_odd_values)
+    entries = doc["detections"] + doc["ground_truth"]
+    target = draw(st.sampled_from(["none", "record", "record", "flag", "entry", "field", "field",
+                                   "coord", "coord"]))
+    if target == "record":
+        parent, key = doc, draw(st.sampled_from([*doc, "flags"]))
+    elif target == "flag":
+        parent, key = doc.setdefault("flags", {}), draw(st.sampled_from(["nan", "inf"]))
+    elif target == "entry" and entries:
+        parent = doc[draw(st.sampled_from([k for k in ("detections", "ground_truth") if doc[k]]))]
+        key = draw(st.integers(0, len(parent) - 1))
+    elif target == "field" and entries:
+        parent, key = draw(st.sampled_from(entries)), draw(
+            st.sampled_from(["bbox", "category", "confidence"]))
+    elif target == "coord" and entries:
+        parent, key = draw(st.sampled_from(entries))["bbox"], draw(st.integers(0, 3))
+    else:
+        return doc
+    defect = draw(st.sampled_from(["true", "nan", "odd", "missing"]))
+    if defect == "missing":
+        parent.pop(key, None) if isinstance(parent, dict) else parent.pop(key)
+    elif defect == "true":
+        parent[key] = True
+    elif defect == "nan":
+        parent[key] = math.nan
+    else:
+        parent[key] = draw(_odd_values)
+    return doc
+
+
+def _read_outcome(read, path):
+    """The records of ``path`` as tuples of their fields, by repr, or the
+    error message."""
+    try:
+        return "records", repr([r if isinstance(r, tuple) else
+                                tuple(getattr(r, f.name) for f in fields(r))
+                                for r in read(path)])
+    except (DataError, records_reference.RecordError) as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_record_docs(), min_size=1, max_size=2))
+def test_read_records_matches_reference(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.ndjson")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(json.dumps(doc) + "\n" for doc in docs))
+        assert _read_outcome(read_records, path) == _read_outcome(
+            records_reference.read_records, path)
+
+
+def _value_twin(value):
+    """A value equal to ``value`` but not the same: the other zero, or an
+    integral float as an int and an int as a float."""
+    if value == 0:
+        return -value if isinstance(value, float) else 0.0
+    if isinstance(value, int):
+        return float(value)
+    return int(value) if value.is_integer() else value
+
+
+# small coordinates, so int and float arithmetic agree, as they do for
+# record and detector boxes
+_score_coord = st.one_of(st.integers(-2, 40), st.floats(-2.0, 40.0),
+                         st.sampled_from([0, 0.0, -0.0, 20, 20.0]))
+_score_dets = st.lists(
+    st.builds(Detection, st.builds(Box, _score_coord, _score_coord, _score_coord, _score_coord),
+              st.integers(0, 2), st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0]))),
+    max_size=5)
+
+
+@st.composite
+def _scored_pairs(draw):
+    """(orig, corr): corr is orig itself, a value-equal twin of it, orig with
+    one detection moved or relabelled (same length), or another list."""
+    orig = draw(_score_dets)
+    kind = draw(st.sampled_from(["same", "twin", "moved", "other"]))
+    if kind == "same":
+        return orig, orig
+    if kind == "twin":
+        return orig, [Detection(Box(*map(_value_twin, d.box.as_tuple())), _value_twin(d.category),
+                                _value_twin(d.confidence)) for d in orig]
+    if kind == "moved" and orig:
+        k = draw(st.integers(0, len(orig) - 1))
+        other = draw(_score_dets.filter(bool))[0]
+        moved = replace(orig[k], box=other.box) if draw(st.booleans()) else replace(
+            orig[k], category=other.category)
+        return orig, orig[:k] + [moved] + orig[k + 1:]
+    return orig, draw(_score_dets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_scored_pairs(), gts=_score_dets, policy=_category_policies(),
+       iou_threshold=st.floats(0.05, 1.0), dims=st.tuples(st.integers(1, 45), st.integers(1, 45)),
+       nan=st.booleans())
+def test_score_matches_assign_and_severity(pair, gts, policy, iou_threshold, dims, nan):
+    orig, corr = pair
+    cfg = CampaignConfig.from_json({"mode": "ingest", "seed": 0, "iou_threshold": iou_threshold,
+                                    "category_policy": policy})
+
+    def counts(dets):
+        outcome = assign(dets, gts, cfg.iou_threshold, cfg.category_policy)
+        return outcome.tp, outcome.fp, outcome.fn
+
+    scored = _score(cfg, counts(orig), dims, nan, False, key="img", image_id="img",
+                    gts=gts, orig=orig, corr=corr)
+    evaluation = ImageEval("img", counts(orig), counts(corr), nan_flag=nan)
+    assert repr(scored.report) == repr(severity(evaluation, orig, corr, gts, dims))
