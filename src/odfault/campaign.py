@@ -74,6 +74,9 @@ class ConfigError(Exception):
 # about 170 MB at 1024 x 1024.
 MAX_SCENE_SIDE = 1024
 
+# Most worker processes: a process pool starts all of its workers at once.
+MAX_WORKERS = 64
+
 
 # Streams for deriving independent per-item seeds from the campaign seed.
 _STREAM_SCENE = 0
@@ -120,8 +123,8 @@ class CampaignConfig:
             raise ConfigError(f"unknown target {self.target!r}")
         if self.bit_policy not in ("all_32", "exponent_only", "mantissa_only"):
             raise ConfigError(f"unknown bit policy {self.bit_policy!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must lie in 1..{MAX_WORKERS}, got {self.workers}")
         if self.emit_masks < 0:
             raise ConfigError("emit_masks must not be negative")
         if not 0.0 < self.iou_threshold <= 1.0:
@@ -263,7 +266,7 @@ def _run_items(cfg: CampaignConfig, items, work) -> list:
         return [result for item in items for result in run(item)]
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays this import
 
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(items))) as pool:
         chunk = max(1, len(items) // (cfg.workers * 4))
         return [result for results in pool.map(run, items, chunksize=chunk)
                 for result in results]
@@ -303,9 +306,10 @@ class _Scored:
     fp_types: dict | None = None
 
 
-def _score(cfg: CampaignConfig, counts_orig, dims, nan: bool, inf: bool, *, key,
-           injection_id=None, fault=None, image_id, gts, orig, corr) -> _Scored:
-    """Image-wise verdict and severity of one corrupted image against its original.
+def _score(cfg: CampaignConfig, counts_orig, raster_orig, dims, nan: bool, inf: bool, *,
+           key, injection_id=None, fault=None, image_id, gts, orig, corr) -> _Scored:
+    """Image-wise verdict and severity of one corrupted image against its original,
+    whose counts and raster the caller computed once.
 
     A corrupted list equal to the original by value has the original's counts
     and raster: value-equal lists differ at most in the sign of a zero or in
@@ -315,9 +319,10 @@ def _score(cfg: CampaignConfig, counts_orig, dims, nan: bool, inf: bool, *, key,
     """
     unchanged = corr == orig
     counts_corr = counts_orig if unchanged else _counts(cfg, corr, gts)
+    raster_corr = raster_orig if unchanged else rasterize([d.box for d in corr], *dims)
     evaluation = ImageEval(image_id=image_id, counts_orig=counts_orig,
                            counts_corr=counts_corr, inf_flag=inf, nan_flag=nan)
-    report = severity(evaluation, orig, corr, gts, dims, same_raster=unchanged)
+    report = severity(evaluation, orig, corr, gts, dims, rasters=(raster_orig, raster_corr))
     return _Scored(key, injection_id, fault, image_id, report, gts, orig, corr)
 
 
@@ -334,6 +339,7 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     gts = scene.ground_truth()
     orig = list(golden.detections)
     counts_orig = _counts(cfg, orig, gts)
+    raster_orig = rasterize([d.box for d in orig], scene.width, scene.height)
 
     injections = []
     for index in range(scene_idx, cfg.n_injections, _scene_pool(cfg)):
@@ -342,8 +348,8 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
             seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
         trace = infer(model, scene, fault=fault, golden=golden)
         corr = list(trace.detections)
-        scored = _score(cfg, counts_orig, (scene.width, scene.height), trace.nan_seen,
-                        trace.inf_seen, key=index, injection_id=index, fault=fault,
+        scored = _score(cfg, counts_orig, raster_orig, (scene.width, scene.height),
+                        trace.nan_seen, trace.inf_seen, key=index, injection_id=index, fault=fault,
                         image_id=scene_idx, gts=gts, orig=orig, corr=corr)
         if scored.report.verdict == "sdc":
             scored = replace(scored, fp_types=fp_type_breakdown(corr, gts, cfg.iou_threshold))
@@ -606,11 +612,13 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
     for image_id in sorted(orig_by_id, key=str):
         orig = orig_by_id[image_id]
         corr = corr_by_id[image_id]
-        if (orig.width, orig.height) != (corr.width, corr.height):
+        dims = (orig.width, orig.height)
+        if dims != (corr.width, corr.height):
             raise DataError(f"image {image_id!r}: dimensions differ between files")
         gts = list(orig.ground_truth)
         orig_dets = list(orig.detections)
-        scored.append(_score(cfg, _counts(cfg, orig_dets, gts), (orig.width, orig.height),
+        scored.append(_score(cfg, _counts(cfg, orig_dets, gts),
+                             rasterize([d.box for d in orig_dets], *dims), dims,
                              corr.nan_flag, corr.inf_flag, key=image_id, image_id=image_id,
                              gts=gts, orig=orig_dets, corr=list(corr.detections)))
 

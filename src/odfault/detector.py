@@ -29,7 +29,7 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -320,14 +320,13 @@ def _accumulate(padded: np.ndarray, weights: np.ndarray, bias, taps, height: int
     return acc
 
 
-def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None) -> np.ndarray:
+def _convolve(x: np.ndarray, layer: ConvLayer, window=None) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
-    ``channels`` restricts the output to those filters and ``window``, a
-    ``(row0, row1, col0, col1)`` half-open box, to those output pixels.
-    Every output element is accumulated on its own over its taps in
-    (input channel, row, column) order, so a part of the result is
-    bit-identical to the same part of the full result.
+    ``window``, a ``(row0, row1, col0, col1)`` half-open box, restricts the
+    output to those pixels. Every output element is accumulated on its own
+    over its taps in (input channel, row, column) order, so a part of the
+    result is bit-identical to the same part of the full result.
 
     Taps whose weight is +-0 are skipped while the input the window reads
     is all finite; the tap lists come from the weights passed in, so a
@@ -338,9 +337,8 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None) -> np
     0 * inf = nan propagates exactly.
     """
     c_in, height, width = x.shape
-    c_out, _, kh, kw = layer.weights.shape
-    weights = layer.weights if channels is None else layer.weights[list(channels)]
-    channels = range(c_out) if channels is None else channels
+    weights, biases = layer.weights, layer.biases
+    c_out, _, kh, kw = weights.shape
     row0, row1, col0, col1 = (0, height, 0, width) if window is None else window
     out_h, out_w = row1 - row0, col1 - col0
     top, left = row0 - kh // 2, col0 - kw // 2
@@ -351,23 +349,23 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None) -> np
         padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
         r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
         padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
-    out = np.empty((len(channels), out_h, out_w), dtype=F32)
+    out = np.empty((c_out, out_h, out_w), dtype=F32)
     # overflow to inf and 0*inf=nan are expected consequences of injected
     # faults, not numerical accidents worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(padded).all():
-            taps: list[list] = [[] for _ in channels]
+            taps: list[list] = [[] for _ in range(c_out)]
             # np.nonzero walks the weights in C order, the every-tap order
             for k, ic, dy, dx in zip(*(i.tolist() for i in np.nonzero(weights))):
                 taps[k].append((ic, dy, dx))
-            for k, oc in enumerate(channels):
-                out[k] = _accumulate(padded, weights[k], layer.biases[oc], taps[k], out_h, out_w)
+            for k in range(c_out):
+                out[k] = _accumulate(padded, weights[k], biases[k], taps[k], out_h, out_w)
             dense = np.flatnonzero(((out == 0) & np.signbit(out)).any(axis=(1, 2))).tolist()
         else:
-            dense = range(len(channels))
+            dense = range(c_out)
         for k in dense:
             every_tap = itertools.product(range(c_in), range(kh), range(kw))
-            out[k] = _accumulate(padded, weights[k], layer.biases[channels[k]], every_tap, out_h, out_w)
+            out[k] = _accumulate(padded, weights[k], biases[k], every_tap, out_h, out_w)
     return out
 
 
@@ -453,15 +451,6 @@ def _root(parent: list[int], k: int) -> int:
     return k
 
 
-def _corrupt_weights(model: DetectorModel, fault: FaultDescriptor) -> DetectorModel:
-    layer = model.layers[fault.layer_index]
-    weights = layer.weights.copy()
-    weights[fault.tensor_coords] = apply_fault(weights[fault.tensor_coords], fault.bit, fault.mode)
-    layers = list(model.layers)
-    layers[fault.layer_index] = ConvLayer(weights, layer.biases, layer.activation)
-    return replace(model, layers=tuple(layers))
-
-
 def _check_fault(model: DetectorModel, scene: Scene, fault: FaultDescriptor) -> None:
     shapes = shape_catalog(model, scene.height, scene.width).shapes_for(fault.target)
     if not 0 <= fault.layer_index < len(shapes):
@@ -482,7 +471,7 @@ def _trace(detections, layer_flags, activations=None) -> InferenceTrace:
         detections=tuple(detections),
         nan_seen=any(nan for nan, _ in layer_flags),
         inf_seen=any(inf for _, inf in layer_flags),
-        activations=activations,
+        activations=None if activations is None else tuple(activations),
         layer_flags=tuple(layer_flags),
     )
 
@@ -502,34 +491,28 @@ def infer(
     right after the layer's activation function. NaN/Inf flags are scanned
     over every post-activation tensor, faulty value included.
 
-    ``golden`` is this scene's fault-free trace from
-    ``infer(model, scene, keep_activations=True)``. With a fault it lets
-    the pass resume at the fault's layer and stop once the faulty
-    activations are bit-identical to golden; the result is the same as
-    the full pass. It is ignored without a fault or with
-    ``keep_activations``, which always run the full pass.
+    A faulty pass always resumes at the fault's layer from the scene's
+    fault-free trace, ``golden``, as ``infer(model, scene,
+    keep_activations=True)`` returns it; without ``golden`` the pass builds
+    that trace first. ``golden`` is ignored without a fault.
     """
     if fault is not None:
         _check_fault(model, scene, fault)
-        if fault.target == FaultTarget.WEIGHT:
-            model = _corrupt_weights(model, fault)
-        if golden is not None and not keep_activations:
-            return _resume(model, scene, fault, golden)
+        if golden is None:
+            golden = infer(model, scene, keep_activations=True)
+        return _resume(model, scene, fault, golden, keep_activations)
 
     x = scene.pixels[None, :, :].astype(F32, copy=False)
     layer_flags = []
     activations = []
-    for index, layer in enumerate(model.layers):
+    for layer in model.layers:
         x = _activate(_convolve(x, layer), layer.activation)
-        if fault is not None and fault.target == FaultTarget.NEURON and fault.layer_index == index:
-            x = x.copy()
-            x[fault.tensor_coords] = apply_fault(x[fault.tensor_coords], fault.bit, fault.mode)
         layer_flags.append(_nonfinite(x))
         if keep_activations:
             activations.append(x)  # never written after this point
 
     detections = _decode(x, model, scene.width, scene.height)
-    return _trace(detections, layer_flags, tuple(activations) if keep_activations else None)
+    return _trace(detections, layer_flags, activations if keep_activations else None)
 
 
 def _changed_box(x: np.ndarray, golden: np.ndarray, window) -> tuple[int, int, int, int] | None:
@@ -545,21 +528,23 @@ def _changed_box(x: np.ndarray, golden: np.ndarray, window) -> tuple[int, int, i
 
 
 def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
-            golden: InferenceTrace) -> InferenceTrace:
+            golden: InferenceTrace, keep_activations: bool) -> InferenceTrace:
     """Faulty pass restarted from the golden input of the fault's layer.
 
-    ``model`` already carries a weight fault. Such a fault changes only
-    output channel f of its layer, so only that channel is recomputed. A
-    neuron fault patches one element of the golden output. After every
-    layer the faulty output is compared with golden over its raw bits (so
-    -0.0 and NaN payloads count as differences) inside the window that was
-    recomputed; on a match the rest of the pass is golden's, detections and
-    NaN/Inf flags included. Otherwise the bounding box of the differing
-    pixels, dilated by the next layer's kernel radius and clipped to the
-    scene, is the only window of the next layer that is recomputed; the
-    rest of its output is golden's. NaN/Inf is scanned over the box alone
-    when golden's layer is finite. Decode runs only when the last layer's
-    output differs.
+    A weight fault changes only output channel f of its layer, so only that
+    channel is recomputed, by a one-filter layer holding a corrupted copy of
+    filter f; later layers read the model as it is. A neuron fault patches
+    one element of the golden output. After every layer the faulty output
+    is compared with golden over its raw bits (so -0.0 and NaN payloads
+    count as differences) inside the window that was recomputed; on a
+    match the rest of the pass is golden's, detections and NaN/Inf flags
+    included. Otherwise the bounding box of the differing pixels, dilated
+    by the next layer's kernel radius and clipped to the scene, is the only
+    window of the next layer that is recomputed; the rest of its output is
+    golden's. NaN/Inf is scanned over the box alone when golden's layer is
+    finite. Decode runs only when the last layer's output differs. With
+    ``keep_activations`` the trace holds golden's activations with the
+    recomputed layers in their place.
     """
     if golden.activations is None or len(golden.layer_flags) != len(model.layers):
         raise ValueError("golden trace must come from infer(..., keep_activations=True)")
@@ -569,8 +554,11 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
     if fault.target == FaultTarget.WEIGHT:
         x_in = (golden.activations[index - 1] if index
                 else scene.pixels[None, :, :].astype(F32, copy=False))
-        f = fault.tensor_coords[0]
-        x[f] = _activate(_convolve(x_in, layer, [f]), layer.activation)[0]
+        f, *tap = fault.tensor_coords
+        weights = layer.weights[f:f + 1].copy()
+        weights[(0, *tap)] = apply_fault(weights[(0, *tap)], fault.bit, fault.mode)
+        one_filter = ConvLayer(weights, layer.biases[f:f + 1], layer.activation)
+        x[f] = _activate(_convolve(x_in, one_filter), layer.activation)[0]
         window = (0, scene.height, 0, scene.width)
     else:
         x[fault.tensor_coords] = apply_fault(x[fault.tensor_coords], fault.bit, fault.mode)
@@ -578,10 +566,13 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         window = (row, row + 1, col, col + 1)
 
     layer_flags = list(golden.layer_flags)
+    activations = list(golden.activations) if keep_activations else None
     while True:
+        if activations is not None:
+            activations[index] = x
         box = _changed_box(x, golden.activations[index], window)
         if box is None:
-            return _trace(golden.detections, layer_flags)
+            return _trace(golden.detections, layer_flags, activations)
         row0, row1, col0, col1 = box
         finite_golden = golden.layer_flags[index] == (False, False)
         layer_flags[index] = _nonfinite(x[:, row0:row1, col0:col1] if finite_golden else x)
@@ -596,4 +587,4 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         y[:, window[0]:window[1], window[2]:window[3]] = \
             _activate(_convolve(x, layer, window=window), layer.activation)
         x = y
-    return _trace(_decode(x, model, scene.width, scene.height), layer_flags)
+    return _trace(_decode(x, model, scene.width, scene.height), layer_flags, activations)

@@ -110,14 +110,14 @@ def severity(
     gts: list[Detection],
     image_dims: tuple[int, int],
     *,
-    same_raster: bool = False,
+    rasters=None,
 ) -> SdcReport:
     """Severity features of one corrupted image (boxes must be pre-clipped).
 
     ``image_dims`` is (width, height). Confidence and size means run over
     all detections of each condition (TPs and FPs alike); sizes are box
-    areas in squared pixels. ``same_raster`` says the caller knows both
-    lists cover the same pixels, so the original's raster stands for both.
+    areas in squared pixels. ``rasters`` is ``(orig, corr)``, the two
+    lists' ``rasterize`` masks when the caller already has them.
     """
     width, height = image_dims
     if width <= 0 or height <= 0:
@@ -128,9 +128,10 @@ def severity(
     delta_fp = e.counts_corr[1] - e.counts_orig[1]
     delta_fn_n = (tp_orig - tp_corr) / tp_orig if tp_orig > 0 else None
 
-    raster_orig = rasterize([d.box for d in dets_orig], width, height)
-    raster_corr = (raster_orig if same_raster
-                   else rasterize([d.box for d in dets_corr], width, height))
+    if rasters is None:
+        rasters = (rasterize([d.box for d in dets_orig], width, height),
+                   rasterize([d.box for d in dets_corr], width, height))
+    raster_orig, raster_corr = rasters
     fp_blob = mask_diff(raster_corr, raster_orig)
     fn_blob = mask_diff(raster_orig, raster_corr)
     orig_area = mask_popcount(raster_orig)

@@ -142,6 +142,11 @@ def _parse_record(obj: dict, where: str) -> DetectionRecord:
     flags = obj.get("flags", {})
     if type(image_id) is not str and type(image_id) is not int:
         raise DataError(f"{where}: 'image_id' must be a string or an integer, got {image_id!r}")
+    if type(image_id) is str and not image_id.isascii():
+        try:  # a JSON escape can spell a lone surrogate, which no output file can encode
+            image_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"{where}: 'image_id' holds a lone surrogate: {image_id!r}") from None
     for name, value in (("width", width), ("height", height)):
         if type(value) is not int:
             raise DataError(f"{where}: {name!r} must be an integer, got {value!r}")

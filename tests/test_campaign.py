@@ -15,6 +15,7 @@ from odfault import cli
 from odfault.campaign import (
     CSV_COLUMNS,
     MAX_SCENE_SIDE,
+    MAX_WORKERS,
     CampaignConfig,
     ConfigError,
     ingest_and_score,
@@ -91,6 +92,8 @@ def test_config_rejects_non_object_sections(doc):
     {"iou_threshold": True},
     {"severity_levels": "15"},
     {"emit_masks": -3},
+    {"workers": MAX_WORKERS + 1},
+    {"workers": 100000},
 ])
 def test_config_rejects_out_of_range_values(doc):
     with pytest.raises(ConfigError):
@@ -411,6 +414,8 @@ def test_cli_transient_and_exit_codes(tmp_path):
     (["transient"], {"scene": {"fixed": "false"}}),
     (["permanent"], {"seed": True}),
     (["transient"], {"scene": {"width": 100000, "height": 100000}}),
+    # rejected while the config loads, before any worker process starts
+    pytest.param(["transient", "--workers", "100000"], {}, id="too-many-workers"),
     pytest.param(["transient"], b'{"seed": 1, "mode": "\xfftransient"}', id="not-utf8"),
     pytest.param(["permanent", "--n-frames", "20"], b"[" * 100000, id="nested-too-deep"),
 ])
@@ -489,22 +494,26 @@ def test_cli_ingest_missing_bbox_exit_code(tmp_path):
     ("height", True),
     pytest.param(None, b'{"image_id": "\xffimg2", "width": 64}', id="not-utf8"),
     pytest.param(None, b"[" * 100000, id="nested-too-deep"),
+    # an ASCII JSON escape that no output file can encode
+    pytest.param("image_id", "\ud800x", id="image_id-lone-surrogate"),
 ])
 def test_cli_ingest_malformed_record_exit_code(tmp_path, field, value):
-    """Line 3 gets ``value`` in ``field``, or is the raw bytes ``value``."""
+    """Line 3 of both files gets ``value`` in ``field``, or is the raw bytes
+    ``value``, so the image ids still match."""
     orig_path, corr_path = _make_record_files(tmp_path)
-    lines = corr_path.read_bytes().splitlines()
-    if field is None:
-        lines[2] = value
-    else:
-        record = json.loads(lines[2])
-        record[field] = value
-        lines[2] = json.dumps(record).encode()
-    corr_path.write_bytes(b"\n".join(lines) + b"\n")
+    for path in (orig_path, corr_path):
+        lines = path.read_bytes().splitlines()
+        if field is None:
+            lines[2] = value
+        else:
+            record = json.loads(lines[2])
+            record[field] = value
+            lines[2] = json.dumps(record).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
     result = _run_cli(["ingest", "--orig", str(orig_path), "--corr", str(corr_path),
                        "--seed", "1", "--out", str(tmp_path / "out")])
     assert result.returncode == 3, result.stderr
-    named = f":3: '{field}'" if field else f"{corr_path}:3: "
+    named = f"{orig_path}:3: '{field}'" if field else f"{orig_path}:3: "
     assert named in result.stderr and "Traceback" not in result.stderr
 
 

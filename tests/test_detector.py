@@ -247,20 +247,17 @@ def _same_bits(a, b):
 
 
 def _check_against_dense(model, scene, fault, golden):
-    """Full and resumed inference both equal the dense every-tap reference."""
+    """Resumed inference equals the dense every-tap reference."""
     reference = dense_infer(model, scene, fault)
-    full = infer(model, scene, fault=fault)
     resumed = infer(model, scene, fault=fault, golden=golden)
-    assert _trace_key(full) == _trace_key(reference), fault
     assert _trace_key(resumed) == _trace_key(reference), fault
-    assert full.layer_flags == resumed.layer_flags == reference.layer_flags, fault
+    assert resumed.layer_flags == reference.layer_flags, fault
     return reference
 
 
 def test_golden_resume_matches_full_inference():
-    # resumed inference is an optimisation: it must agree with the full
-    # pass and the dense reference on every layer x target x mode,
-    # including the NaN/Inf paths
+    # resumed inference is an optimisation: it must agree with the dense
+    # reference on every layer x target x mode, including the NaN/Inf paths
     rng = np.random.default_rng(0)
     checked = nan_cases = inf_cases = 0
     for seed in (0, 4, 7):
@@ -311,7 +308,8 @@ def test_sparse_taps_keep_the_sign_of_zero():
     # sum is -0.0 + 0.0 = +0.0, but skipping the zero tap leaves -0.0
     trap = np.zeros((2, 1, 3, 3), dtype=np.float32)
     trap[1, 0, 1, 1] = 1.0  # channel 1 passes the input on, so a fault shows
-    layer = ConvLayer(trap, np.array([-0.0, 0.0], dtype=np.float32), "relu")
+    biases = np.array([-0.0, 0.0], dtype=np.float32)
+    layer = ConvLayer(trap, biases, "relu")
     unit = ConvLayer(np.ones((1, 1, 1, 1), dtype=np.float32), np.zeros(1, dtype=np.float32), "relu")
     model = DetectorModel((unit, layer))
     scene = Scene(np.full((8, 8), 0.75, dtype=np.float32), ())
@@ -322,7 +320,8 @@ def test_sparse_taps_keep_the_sign_of_zero():
     for row0, row1, col0, col1 in [(0, 2, 0, 2), (3, 5, 2, 6), (6, 8, 7, 8)]:
         window = _convolve(x, layer, window=(row0, row1, col0, col1))
         assert _same_bits(window, dense[:, row0:row1, col0:col1])
-    assert _same_bits(_convolve(x, layer, channels=[0], window=(0, 1, 0, 1)), dense[:1, :1, :1])
+    first = ConvLayer(trap[:1], biases[:1], "relu")
+    assert _same_bits(_convolve(x, first, window=(0, 1, 0, 1)), dense[:1, :1, :1])
 
     golden = infer(model, scene, keep_activations=True)
     for kept, reference in zip(golden.activations, dense_infer(model, scene).activations):
@@ -369,7 +368,7 @@ def test_golden_trace_records_layer_flags_and_leaves_golden_intact():
     before = [a.copy() for a in golden.activations]
     fault = _neuron_fault(3, (0, 50, 8), 30)
     assert _trace_key(infer(MODEL, scene, fault=fault, golden=golden)) == \
-        _trace_key(infer(MODEL, scene, fault=fault))
+        _trace_key(dense_infer(MODEL, scene, fault))
     for kept, now in zip(before, golden.activations):
         assert np.array_equal(kept.view(np.uint32), now.view(np.uint32))
     with pytest.raises(ValueError):
@@ -385,9 +384,29 @@ def test_golden_resume_keeps_flags_of_layers_before_reconvergence():
     scene = Scene(np.ones((8, 8), dtype=np.float32), ())
     golden = infer(model, scene, keep_activations=True)
     fault = _neuron_fault(0, (0, 3, 3), 30)  # 1.0 -> +inf
-    full = infer(model, scene, fault=fault)
-    assert full.inf_seen and not full.nan_seen
-    assert _trace_key(infer(model, scene, fault=fault, golden=golden)) == _trace_key(full)
+    reference = dense_infer(model, scene, fault)
+    assert reference.inf_seen and not reference.nan_seen
+    assert _trace_key(infer(model, scene, fault=fault, golden=golden)) == _trace_key(reference)
+
+
+def test_inference_without_golden_builds_it():
+    # without a golden trace infer builds one and resumes from it; with
+    # keep_activations it returns every faulty activation, recomputed
+    # layers included, whether the pass reconverges or reaches decode
+    scene = generate_scene(SPEC, seed=0)
+    faults = [_neuron_fault(3, (0, 50, 8), 30),  # ghost: reaches decode
+              _neuron_fault(0, (0, 5, 5), 22),  # mantissa: reconverges
+              _weight_fault(4, (1, 4, 1, 1), 30, FaultMode.STUCK_AT_1),
+              _weight_fault(0, (0, 0, 1, 1), 22)]  # changes L1-L3, reconverges
+    for fault in faults:
+        reference = dense_infer(MODEL, scene, fault)
+        assert _trace_key(infer(MODEL, scene, fault=fault)) == _trace_key(reference), fault
+        kept = infer(MODEL, scene, fault=fault, keep_activations=True)
+        assert _trace_key(kept) == _trace_key(reference), fault
+        assert kept.layer_flags == reference.layer_flags, fault
+        assert all(_same_bits(a, b) for a, b in zip(kept.activations, reference.activations))
+        assert len(kept.activations) == len(MODEL.layers)
+    assert infer(MODEL, scene, fault=faults[0]).activations is None
 
 
 @pytest.mark.parametrize("size", [48, 96])

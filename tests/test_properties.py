@@ -32,7 +32,7 @@ from odfault.campaign import (  # noqa: E402
     CampaignConfig, _score, run_permanent, run_transient)
 from odfault.detector import (  # noqa: E402
     SceneSpec, _components, generate_scene, infer, reference_model, shape_catalog)
-from odfault.geometry import Box, Detection, _ious, iou  # noqa: E402
+from odfault.geometry import Box, Detection, _ious, iou, rasterize  # noqa: E402
 from odfault.matching import (  # noqa: E402
     CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix)
 from odfault.metrics import ImageEval, severity  # noqa: E402
@@ -559,7 +559,8 @@ def test_score_matches_assign_and_severity(pair, gts, policy, iou_threshold, dim
         outcome = assign(dets, gts, cfg.iou_threshold, cfg.category_policy)
         return outcome.tp, outcome.fp, outcome.fn
 
-    scored = _score(cfg, counts(orig), dims, nan, False, key="img", image_id="img",
+    raster_orig = rasterize([d.box for d in orig], *dims)
+    scored = _score(cfg, counts(orig), raster_orig, dims, nan, False, key="img", image_id="img",
                     gts=gts, orig=orig, corr=corr)
     evaluation = ImageEval("img", counts(orig), counts(corr), nan_flag=nan)
     assert repr(scored.report) == repr(severity(evaluation, orig, corr, gts, dims))
