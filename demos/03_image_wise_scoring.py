@@ -40,7 +40,7 @@ def main():
         evaluation = ImageEval(name, (out_orig.tp, out_orig.fp, out_orig.fn),
                                (out_corr.tp, out_corr.fp, out_corr.fn))
         evals.append(evaluation)
-        report = severity(evaluation, orig, corr, gts, (WIDTH, HEIGHT))
+        report = severity(evaluation, orig, corr, (WIDTH, HEIGHT))
         print(f"image {name!r}: verdict={report.verdict}")
         print(f"  counts orig tp/fp/fn = {evaluation.counts_orig}, "
               f"corr = {evaluation.counts_corr}")

@@ -222,6 +222,8 @@ class SyntheticSetConfig:
             raise ValueError("probabilities must lie in [0, 1]")
         if not 0.0 <= self.conf_range[0] <= self.conf_range[1] <= 1.0:
             raise ValueError(f"conf_range must be low <= high within [0, 1], got {self.conf_range}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

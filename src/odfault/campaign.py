@@ -115,8 +115,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in ("transient", "permanent", "ingest"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.seed is None:
-            raise ConfigError("seed is mandatory")
+        if self.seed is None or self.seed < 0:
+            raise ConfigError(f"seed is mandatory and must not be negative, got {self.seed}")
         if self.mode in ("transient", "permanent") and self.n_injections < 1:
             raise ConfigError("n_injections must be at least 1")
         if self.target not in ("neuron", "weight"):
@@ -131,9 +131,10 @@ class CampaignConfig:
             raise ConfigError(f"iou_threshold must lie in (0, 1], got {self.iou_threshold}")
         if self.scene_pool < 1:
             raise ConfigError("scene pool must be at least 1")
-        if max(self.scene_spec.width, self.scene_spec.height) > MAX_SCENE_SIDE:
-            raise ConfigError(f"scene sides must be at most {MAX_SCENE_SIDE} pixels, got "
-                              f"{self.scene_spec.width}x{self.scene_spec.height}")
+        if not all(1 <= side <= MAX_SCENE_SIDE
+                   for side in (self.scene_spec.width, self.scene_spec.height)):
+            raise ConfigError(f"scene sides must be at least 1 and at most {MAX_SCENE_SIDE} "
+                              f"pixels, got {self.scene_spec.width}x{self.scene_spec.height}")
         if self.mode == "permanent" and self.n_frames < self.tracker.n:
             raise ConfigError(
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
@@ -322,7 +323,7 @@ def _score(cfg: CampaignConfig, counts_orig, raster_orig, dims, nan: bool, inf: 
     raster_corr = raster_orig if unchanged else rasterize([d.box for d in corr], *dims)
     evaluation = ImageEval(image_id=image_id, counts_orig=counts_orig,
                            counts_corr=counts_corr, inf_flag=inf, nan_flag=nan)
-    report = severity(evaluation, orig, corr, gts, dims, rasters=(raster_orig, raster_corr))
+    report = severity(evaluation, orig, corr, dims, rasters=(raster_orig, raster_corr))
     return _Scored(key, injection_id, fault, image_id, report, gts, orig, corr)
 
 
@@ -335,7 +336,7 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     """
     scene = _generate(generate_scene, cfg, cfg.scene_spec,
                       _derive_seed(cfg.seed, _STREAM_SCENE, scene_idx))
-    golden = infer(model, scene, keep_activations=True)
+    golden = infer(model, scene)
     gts = scene.ground_truth()
     orig = list(golden.detections)
     counts_orig = _counts(cfg, orig, gts)
@@ -507,7 +508,7 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     fn_blobs = [[] for _ in faults]
     due_frames = [0] * len(faults)
     for frame in frames:
-        golden = infer(model, frame, keep_activations=True)
+        golden = infer(model, frame)
         orig_raster = rasterize([d.box for d in golden.detections], frame.width, frame.height)
         orig_rasters.append(orig_raster)
         for k, fault in enumerate(faults):
@@ -522,10 +523,9 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     results = []
     kept_masks = 0
     for k, (index, fault) in enumerate(zip(indices, faults)):
-        fp_verdict = track(fp_blobs[k], cfg.tracker)
-        fn_verdict = track(fn_blobs[k], fn_tracker)
-        fp_series = occupancy_series(fp_verdict, image_area=area)
-        fn_series = occupancy_series(fn_verdict, reference_blobs=orig_rasters)
+        fp_masks = track(fp_blobs[k], cfg.tracker)
+        fp_series = occupancy_series(fp_masks, image_area=area)
+        fn_series = occupancy_series(track(fn_blobs[k], fn_tracker), reference_blobs=orig_rasters)
         fp_levels = sdc_at_severity(fp_series, cfg.severity_levels)
         keep = fp_levels[cfg.severity_levels[0]] and kept_masks < cfg.emit_masks
         kept_masks += keep
@@ -539,7 +539,7 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
             "mean_fp_occ": _mean(fp_series),
             "mean_fn_vac": _mean(fn_series),
             "due_frames": due_frames[k],
-            "fp_masks": fp_verdict.masks if keep else None,
+            "fp_masks": fp_masks if keep else None,
         })
     return results
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from odfault.bits import FaultDescriptor, FaultTarget, ShapeCatalog, apply_fault
-from odfault.geometry import Box, Detection, clip, nms
+from odfault.geometry import Box, Detection, nms
 
 __all__ = [
     "Scene",
@@ -113,10 +113,16 @@ class DetectorModel:
 @dataclass(frozen=True)
 class InferenceTrace:
     detections: tuple[Detection, ...]
-    nan_seen: bool
-    inf_seen: bool
-    activations: tuple[np.ndarray, ...] | None = None
-    layer_flags: tuple[tuple[bool, bool], ...] = ()  # per-layer (nan, inf)
+    activations: tuple[np.ndarray, ...]  # post-activation output of every layer
+    layer_flags: tuple[tuple[bool, bool], ...]  # per-layer (nan, inf)
+
+    @property
+    def nan_seen(self) -> bool:
+        return any(nan for nan, _ in self.layer_flags)
+
+    @property
+    def inf_seen(self) -> bool:
+        return any(inf for _, inf in self.layer_flags)
 
 
 def _checkerboard(height: int, width: int) -> np.ndarray:
@@ -387,14 +393,14 @@ def _sigmoid32(v: np.float32) -> np.float32:
 SCORE_GATE = F32(0.0625)
 
 
-def _decode(scores: np.ndarray, model: DetectorModel, width: int, height: int) -> list[Detection]:
+def _decode(scores: np.ndarray, model: DetectorModel) -> list[Detection]:
     detections: list[Detection] = []
     for category in range(scores.shape[0]):
         occupied = scores[category] > SCORE_GATE  # NaN scores gate to unoccupied
         for area, top, left, bottom, right in _components(occupied):
             conf = _sigmoid32(F32(0.25) * (F32(area) - F32(4.0)))
             if conf > model.confidence_threshold:
-                box = clip(Box(float(left), float(top), float(right), float(bottom)), width, height)
+                box = Box(float(left), float(top), float(right), float(bottom))
                 detections.append(Detection(box, category, float(conf)))
     return nms(detections, model.nms_threshold, model.max_detections)
 
@@ -452,10 +458,11 @@ def _root(parent: list[int], k: int) -> int:
 
 
 def _check_fault(model: DetectorModel, scene: Scene, fault: FaultDescriptor) -> None:
-    shapes = shape_catalog(model, scene.height, scene.width).shapes_for(fault.target)
-    if not 0 <= fault.layer_index < len(shapes):
-        raise ValueError(f"fault layer {fault.layer_index} outside 0..{len(shapes) - 1}")
-    shape = shapes[fault.layer_index]
+    if not 0 <= fault.layer_index < len(model.layers):
+        raise ValueError(f"fault layer {fault.layer_index} outside 0..{len(model.layers) - 1}")
+    shape = model.layers[fault.layer_index].weights.shape
+    if fault.target == FaultTarget.NEURON:
+        shape = (shape[0], scene.height, scene.width)
     if len(fault.tensor_coords) != len(shape) or not all(
         0 <= c < s for c, s in zip(fault.tensor_coords, shape)
     ):
@@ -466,21 +473,10 @@ def _nonfinite(x: np.ndarray) -> tuple[bool, bool]:
     return bool(np.isnan(x).any()), bool(np.isinf(x).any())
 
 
-def _trace(detections, layer_flags, activations=None) -> InferenceTrace:
-    return InferenceTrace(
-        detections=tuple(detections),
-        nan_seen=any(nan for nan, _ in layer_flags),
-        inf_seen=any(inf for _, inf in layer_flags),
-        activations=None if activations is None else tuple(activations),
-        layer_flags=tuple(layer_flags),
-    )
-
-
 def infer(
     model: DetectorModel,
     scene: Scene,
     fault: FaultDescriptor | None = None,
-    keep_activations: bool = False,
     golden: InferenceTrace | None = None,
 ) -> InferenceTrace:
     """Forward pass with an optional single fault.
@@ -492,15 +488,13 @@ def infer(
     over every post-activation tensor, faulty value included.
 
     A faulty pass always resumes at the fault's layer from the scene's
-    fault-free trace, ``golden``, as ``infer(model, scene,
-    keep_activations=True)`` returns it; without ``golden`` the pass builds
-    that trace first. ``golden`` is ignored without a fault.
+    fault-free trace, ``golden``, as ``infer(model, scene)`` returns it;
+    without ``golden`` the pass builds that trace first. ``golden`` is
+    ignored without a fault.
     """
     if fault is not None:
         _check_fault(model, scene, fault)
-        if golden is None:
-            golden = infer(model, scene, keep_activations=True)
-        return _resume(model, scene, fault, golden, keep_activations)
+        return _resume(model, scene, fault, golden or infer(model, scene))
 
     x = scene.pixels[None, :, :].astype(F32, copy=False)
     layer_flags = []
@@ -508,11 +502,8 @@ def infer(
     for layer in model.layers:
         x = _activate(_convolve(x, layer), layer.activation)
         layer_flags.append(_nonfinite(x))
-        if keep_activations:
-            activations.append(x)  # never written after this point
-
-    detections = _decode(x, model, scene.width, scene.height)
-    return _trace(detections, layer_flags, activations if keep_activations else None)
+        activations.append(x)  # never written after this point
+    return InferenceTrace(tuple(_decode(x, model)), tuple(activations), tuple(layer_flags))
 
 
 def _changed_box(x: np.ndarray, golden: np.ndarray, window) -> tuple[int, int, int, int] | None:
@@ -528,7 +519,7 @@ def _changed_box(x: np.ndarray, golden: np.ndarray, window) -> tuple[int, int, i
 
 
 def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
-            golden: InferenceTrace, keep_activations: bool) -> InferenceTrace:
+            golden: InferenceTrace) -> InferenceTrace:
     """Faulty pass restarted from the golden input of the fault's layer.
 
     A weight fault changes only output channel f of its layer, so only that
@@ -542,12 +533,13 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
     by the next layer's kernel radius and clipped to the scene, is the only
     window of the next layer that is recomputed; the rest of its output is
     golden's. NaN/Inf is scanned over the box alone when golden's layer is
-    finite. Decode runs only when the last layer's output differs. With
-    ``keep_activations`` the trace holds golden's activations with the
-    recomputed layers in their place.
+    finite. Decode runs only when the last layer's output differs. The
+    trace holds golden's activations with the recomputed layers in their
+    place.
     """
-    if golden.activations is None or len(golden.layer_flags) != len(model.layers):
-        raise ValueError("golden trace must come from infer(..., keep_activations=True)")
+    if len(golden.activations) != len(model.layers):
+        raise ValueError(f"golden trace has {len(golden.activations)} layers, "
+                         f"the model {len(model.layers)}")
     index = fault.layer_index
     layer = model.layers[index]
     x = golden.activations[index].copy()
@@ -566,13 +558,12 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         window = (row, row + 1, col, col + 1)
 
     layer_flags = list(golden.layer_flags)
-    activations = list(golden.activations) if keep_activations else None
+    activations = list(golden.activations)
     while True:
-        if activations is not None:
-            activations[index] = x
+        activations[index] = x
         box = _changed_box(x, golden.activations[index], window)
         if box is None:
-            return _trace(golden.detections, layer_flags, activations)
+            return InferenceTrace(golden.detections, tuple(activations), tuple(layer_flags))
         row0, row1, col0, col1 = box
         finite_golden = golden.layer_flags[index] == (False, False)
         layer_flags[index] = _nonfinite(x[:, row0:row1, col0:col1] if finite_golden else x)
@@ -587,4 +578,4 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         y[:, window[0]:window[1], window[2]:window[3]] = \
             _activate(_convolve(x, layer, window=window), layer.activation)
         x = y
-    return _trace(_decode(x, model, scene.width, scene.height), layer_flags, activations)
+    return InferenceTrace(tuple(_decode(x, model)), tuple(activations), tuple(layer_flags))

@@ -107,7 +107,6 @@ def severity(
     e: ImageEval,
     dets_orig: list[Detection],
     dets_corr: list[Detection],
-    gts: list[Detection],
     image_dims: tuple[int, int],
     *,
     rasters=None,

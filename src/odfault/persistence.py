@@ -20,7 +20,6 @@ from odfault.geometry import mask_popcount
 
 __all__ = [
     "TrackerConfig",
-    "PersistenceVerdict",
     "track",
     "occupancy_series",
     "sdc_at_severity",
@@ -41,16 +40,9 @@ class TrackerConfig:
             raise ValueError("vicinity must be non-negative")
 
 
-@dataclass(frozen=True)
-class PersistenceVerdict:
-    """Per-frame persistent-pixel masks produced by the tracker."""
-
-    masks: tuple[np.ndarray, ...]
-    config: TrackerConfig
-
-
-def track(blobs: list[np.ndarray], cfg: TrackerConfig) -> PersistenceVerdict:
-    """Run the pixel-wise M/N scheme over a blob-mask sequence."""
+def track(blobs: list[np.ndarray], cfg: TrackerConfig) -> tuple[np.ndarray, ...]:
+    """Run the pixel-wise M/N scheme over a blob-mask sequence; one
+    persistent-pixel mask per frame."""
     if len(blobs) < cfg.n:
         raise ValueError(f"sequence of {len(blobs)} frames is shorter than n={cfg.n}")
     shape = blobs[0].shape
@@ -72,7 +64,7 @@ def track(blobs: list[np.ndarray], cfg: TrackerConfig) -> PersistenceVerdict:
         if cfg.coasting:
             persistent = persistent | (~blob & strong)
         masks.append(persistent)
-    return PersistenceVerdict(tuple(masks), cfg)
+    return tuple(masks)
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -94,11 +86,11 @@ def _window_any(mask: np.ndarray, radius: int) -> np.ndarray:
 
 
 def occupancy_series(
-    verdict: PersistenceVerdict,
+    masks: tuple[np.ndarray, ...],
     image_area: int | None = None,
     reference_blobs: list[np.ndarray] | None = None,
 ) -> list[float | None]:
-    """Per-frame persistent occupancy fractions.
+    """Per-frame persistent occupancy fractions of the tracker's ``masks``.
 
     Normalize either by a fixed image area (FP convention) or by the
     per-frame footprint of reference blobs (FN convention, None where the
@@ -109,11 +101,11 @@ def occupancy_series(
     if image_area is not None:
         if image_area <= 0:
             raise ValueError("image_area must be positive")
-        return [mask_popcount(m) / image_area for m in verdict.masks]
-    if len(reference_blobs) != len(verdict.masks):
+        return [mask_popcount(m) / image_area for m in masks]
+    if len(reference_blobs) != len(masks):
         raise ValueError("reference sequence length does not match frame count")
     series: list[float | None] = []
-    for mask, ref in zip(verdict.masks, reference_blobs):
+    for mask, ref in zip(masks, reference_blobs):
         denom = mask_popcount(ref)
         series.append(mask_popcount(mask) / denom if denom else None)
     return series

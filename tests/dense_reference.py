@@ -42,7 +42,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def dense_infer(model, scene, fault=None) -> InferenceTrace:
-    """Full faulty (or fault-free) pass; ``activations`` are kept."""
+    """Full faulty (or fault-free) pass."""
     x = scene.pixels[None, :, :].astype(F32)
     flags = []
     activations = []
@@ -59,9 +59,7 @@ def dense_infer(model, scene, fault=None) -> InferenceTrace:
         flags.append((bool(np.isnan(x).any()), bool(np.isinf(x).any())))
         activations.append(x)
     return InferenceTrace(
-        detections=tuple(_decode(x, model, scene.width, scene.height)),
-        nan_seen=any(nan for nan, _ in flags),
-        inf_seen=any(inf for _, inf in flags),
+        detections=tuple(_decode(x, model)),
         activations=tuple(activations),
         layer_flags=tuple(flags),
     )

@@ -182,7 +182,7 @@ def test_criterion_4_severity_fixture_oracles():
     ]
     for counts_orig, counts_corr, dets_orig, dets_corr in cases:
         evaluation = ImageEval("case", counts_orig, counts_corr)
-        report = severity(evaluation, dets_orig, dets_corr, [], (width, height))
+        report = severity(evaluation, dets_orig, dets_corr, (width, height))
 
         assert report.delta_fp == counts_corr[1] - counts_orig[1]
         if counts_orig[0] == 0:
@@ -330,8 +330,7 @@ def test_criterion_7_mantissa_and_direction_neutrality():
             value = model.layers[fault.layer_index].weights[fault.tensor_coords]
         else:
             if scene_idx not in activation_cache:
-                activation_cache[scene_idx] = infer(
-                    model, scenes[scene_idx], keep_activations=True).activations
+                activation_cache[scene_idx] = infer(model, scenes[scene_idx]).activations
             value = activation_cache[scene_idx][fault.layer_index][fault.tensor_coords]
         i += 1
         if not (FP32.to_bits(value) >> fault.bit) & 1:
@@ -411,13 +410,13 @@ def test_criterion_8_tracker_step_through():
     frames = _hand_sequence()
     for coasting in (True, False):
         cfg = TrackerConfig(m=10, n=15, vicinity_px=50, coasting=coasting)
-        got = track(frames, cfg).masks
+        got = track(frames, cfg)
         expected = _oracle_track(frames, 10, 15, 50, coasting)
         for frame_idx, (g, e) in enumerate(zip(got, expected)):
             assert np.array_equal(g, e), f"frame {frame_idx}, coasting={coasting}"
 
-    with_coasting = track(frames, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=True)).masks
-    without = track(frames, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=False)).masks
+    with_coasting = track(frames, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=True))
+    without = track(frames, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=False))
 
     # appearing static blob: persistent once it has 10 frames of history
     assert with_coasting[14][8, 15] and without[14][8, 15]

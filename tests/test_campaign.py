@@ -94,6 +94,9 @@ def test_config_rejects_non_object_sections(doc):
     {"emit_masks": -3},
     {"workers": MAX_WORKERS + 1},
     {"workers": 100000},
+    {"seed": -1},
+    {"scene": {"width": 0, "object_count": [0, 0]}},
+    {"scene": {"width": -5}},
 ])
 def test_config_rejects_out_of_range_values(doc):
     with pytest.raises(ConfigError):
@@ -455,6 +458,7 @@ def test_cli_simulate_pr(tmp_path):
     ["--conf-lo", "nan"],
     ["--conf-hi", "inf"],
     ["--objects", "-5"],
+    ["--seed", "-1"],
 ])
 def test_cli_simulate_pr_rejects_bad_generator_flags(tmp_path, capsys, flags):
     out = tmp_path / "pr"

@@ -94,7 +94,7 @@ def test_shape_catalog_matches_forward_tensors():
     assert len(catalog.neuron_shapes) == len(MODEL.layers) == 5
     assert len(catalog.weight_shapes) == 5
     scene = generate_scene(SPEC, seed=2)
-    trace = infer(MODEL, scene, keep_activations=True)
+    trace = infer(MODEL, scene)
     for activation, shape in zip(trace.activations, catalog.neuron_shapes):
         assert activation.shape == shape
     for layer, shape in zip(MODEL.layers, catalog.weight_shapes):
@@ -112,9 +112,9 @@ def _weight_fault(layer, coords, bit, mode=FaultMode.TRANSIENT_FLIP):
 
 def test_neuron_fault_locality():
     scene = generate_scene(SPEC, seed=4)
-    baseline = infer(MODEL, scene, keep_activations=True)
+    baseline = infer(MODEL, scene)
     fault = _neuron_fault(3, (0, 20, 20), 30)
-    faulty = infer(MODEL, scene, fault=fault, keep_activations=True)
+    faulty = infer(MODEL, scene, fault=fault)
     for k in range(3):
         assert np.array_equal(baseline.activations[k], faulty.activations[k])
     assert not np.array_equal(baseline.activations[3], faulty.activations[3])
@@ -122,7 +122,7 @@ def test_neuron_fault_locality():
 
 def test_exponent_msb_flip_on_saturated_activation_goes_inf():
     scene = generate_scene(SPEC, seed=0)
-    baseline = infer(MODEL, scene, keep_activations=True)
+    baseline = infer(MODEL, scene)
     # pick a tent cell that is exactly 1.0 (inside some object)
     tents = baseline.activations[3]
     channel, row, col = map(int, np.argwhere(tents == 1.0)[0])
@@ -229,8 +229,8 @@ def test_stuck_weight_ghost_persists_at_high_severity():
         orig = rasterize([d.box for d in infer(MODEL, frame).detections], 64, 64)
         corr = rasterize([d.box for d in infer(MODEL, frame, fault=fault).detections], 64, 64)
         fp_blobs.append(corr & ~orig)
-    verdict = track(fp_blobs, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=True))
-    series = occupancy_series(verdict, image_area=64 * 64)
+    masks = track(fp_blobs, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=True))
+    series = occupancy_series(masks, image_area=64 * 64)
     flags = sdc_at_severity(series, [0.0, 0.15])
     assert flags[0.0] and flags[0.15]
     assert max(series) > 0.5
@@ -262,7 +262,7 @@ def test_golden_resume_matches_full_inference():
     checked = nan_cases = inf_cases = 0
     for seed in (0, 4, 7):
         scene = generate_scene(SPEC, seed=seed)
-        golden = infer(MODEL, scene, keep_activations=True)
+        golden = infer(MODEL, scene)
         assert all(_same_bits(a, b) for a, b in
                    zip(golden.activations, dense_infer(MODEL, scene).activations))
         for layer in range(len(MODEL.layers)):
@@ -283,7 +283,7 @@ def test_golden_resume_matches_full_inference():
     # corners and edges, where the changed window is clipped, on a 48-px scene
     size = 48
     scene = generate_scene(SceneSpec(width=size, height=size), seed=1)
-    golden = infer(MODEL, scene, keep_activations=True)
+    golden = infer(MODEL, scene)
     assert all(_same_bits(a, b) for a, b in
                zip(golden.activations, dense_infer(MODEL, scene).activations))
     border = [(0, 0), (0, size - 1), (size - 1, 0), (size - 1, size - 1),
@@ -323,7 +323,7 @@ def test_sparse_taps_keep_the_sign_of_zero():
     first = ConvLayer(trap[:1], biases[:1], "relu")
     assert _same_bits(_convolve(x, first, window=(0, 1, 0, 1)), dense[:1, :1, :1])
 
-    golden = infer(model, scene, keep_activations=True)
+    golden = infer(model, scene)
     for kept, reference in zip(golden.activations, dense_infer(model, scene).activations):
         assert _same_bits(kept, reference)
     for coords in [(0, 0, 0), (0, 4, 3), (0, 7, 7)]:
@@ -345,7 +345,7 @@ def test_nonfinite_input_multiplies_every_tap():
     assert np.isnan(_convolve(x, zero, window=(0, 2, 5, 8))[0, 1, :2]).all()
 
     scene = Scene(pixels, ())
-    golden = infer(model, scene, keep_activations=True)
+    golden = infer(model, scene)
     assert golden.layer_flags == ((False, False), (False, False))
     for coords in [(0, 3, 3), (0, 0, 7)]:
         fault = _neuron_fault(0, coords, 30)  # 1.0 -> +inf
@@ -355,7 +355,7 @@ def test_nonfinite_input_multiplies_every_tap():
     # golden itself holds an Inf, away from the pixel the fault changes: the
     # flags of a changed layer then come from the whole layer, not the window
     scene = Scene(x[0], ())
-    golden = infer(model, scene, keep_activations=True)
+    golden = infer(model, scene)
     assert golden.layer_flags == ((False, True), (True, False))
     for coords in [(0, 6, 1), (0, 2, 5)]:
         _check_against_dense(model, scene, _neuron_fault(0, coords, 23), golden)
@@ -363,7 +363,7 @@ def test_nonfinite_input_multiplies_every_tap():
 
 def test_golden_trace_records_layer_flags_and_leaves_golden_intact():
     scene = generate_scene(SPEC, seed=0)
-    golden = infer(MODEL, scene, keep_activations=True)
+    golden = infer(MODEL, scene)
     assert golden.layer_flags == ((False, False),) * len(MODEL.layers)
     before = [a.copy() for a in golden.activations]
     fault = _neuron_fault(3, (0, 50, 8), 30)
@@ -371,8 +371,9 @@ def test_golden_trace_records_layer_flags_and_leaves_golden_intact():
         _trace_key(dense_infer(MODEL, scene, fault))
     for kept, now in zip(before, golden.activations):
         assert np.array_equal(kept.view(np.uint32), now.view(np.uint32))
+    shorter = DetectorModel(MODEL.layers[:-1])  # a golden trace of another model
     with pytest.raises(ValueError):
-        infer(MODEL, scene, fault=fault, golden=infer(MODEL, scene))
+        infer(MODEL, scene, fault=fault, golden=infer(shorter, scene))
 
 
 def test_golden_resume_keeps_flags_of_layers_before_reconvergence():
@@ -382,7 +383,7 @@ def test_golden_resume_keeps_flags_of_layers_before_reconvergence():
     bias = np.zeros(1, dtype=np.float32)
     model = DetectorModel((ConvLayer(unit, bias, "relu"), ConvLayer(unit, bias, "relu1")))
     scene = Scene(np.ones((8, 8), dtype=np.float32), ())
-    golden = infer(model, scene, keep_activations=True)
+    golden = infer(model, scene)
     fault = _neuron_fault(0, (0, 3, 3), 30)  # 1.0 -> +inf
     reference = dense_infer(model, scene, fault)
     assert reference.inf_seen and not reference.nan_seen
@@ -390,9 +391,9 @@ def test_golden_resume_keeps_flags_of_layers_before_reconvergence():
 
 
 def test_inference_without_golden_builds_it():
-    # without a golden trace infer builds one and resumes from it; with
-    # keep_activations it returns every faulty activation, recomputed
-    # layers included, whether the pass reconverges or reaches decode
+    # without a golden trace infer builds one and resumes from it; the
+    # trace holds every faulty activation, recomputed layers included,
+    # whether the pass reconverges or reaches decode
     scene = generate_scene(SPEC, seed=0)
     faults = [_neuron_fault(3, (0, 50, 8), 30),  # ghost: reaches decode
               _neuron_fault(0, (0, 5, 5), 22),  # mantissa: reconverges
@@ -400,13 +401,11 @@ def test_inference_without_golden_builds_it():
               _weight_fault(0, (0, 0, 1, 1), 22)]  # changes L1-L3, reconverges
     for fault in faults:
         reference = dense_infer(MODEL, scene, fault)
-        assert _trace_key(infer(MODEL, scene, fault=fault)) == _trace_key(reference), fault
-        kept = infer(MODEL, scene, fault=fault, keep_activations=True)
+        kept = infer(MODEL, scene, fault=fault)
         assert _trace_key(kept) == _trace_key(reference), fault
         assert kept.layer_flags == reference.layer_flags, fault
         assert all(_same_bits(a, b) for a, b in zip(kept.activations, reference.activations))
         assert len(kept.activations) == len(MODEL.layers)
-    assert infer(MODEL, scene, fault=faults[0]).activations is None
 
 
 @pytest.mark.parametrize("size", [48, 96])
@@ -415,7 +414,7 @@ def test_neuron_faults_cover_the_whole_scene(size):
     catalog = shape_catalog(MODEL, height=size, width=size)
     assert all(shape[1:] == (size, size) for shape in catalog.neuron_shapes)
     scene = generate_scene(spec, seed=1)
-    trace = infer(MODEL, scene, keep_activations=True)
+    trace = infer(MODEL, scene)
     assert [a.shape for a in trace.activations] == list(catalog.neuron_shapes)
     corners = (size - 1, size - 1)
     infer(MODEL, scene, fault=_neuron_fault(2, (0, *corners), 30))  # must not raise

@@ -73,20 +73,20 @@ def test_due_overrides_sdc():
 
 def test_delta_examples():
     e = _eval((10, 2, 0), (4, 5, 6))
-    report = severity(e, [], [], [], (100, 100))
+    report = severity(e, [], [], (100, 100))
     assert report.delta_fp == 3
     assert report.delta_fn_n == pytest.approx(0.6)
 
 
 def test_delta_fn_undefined_when_no_original_tps():
     e = _eval((0, 2, 3), (0, 5, 3))
-    report = severity(e, [], [], [], (100, 100))
+    report = severity(e, [], [], (100, 100))
     assert report.delta_fn_n is None
 
 
 def test_negative_deltas_kept_and_flagged():
     e = _eval((2, 3, 1), (3, 1, 0))
-    report = severity(e, [], [], [], (100, 100))
+    report = severity(e, [], [], (100, 100))
     assert report.delta_fp == -2
     assert report.delta_fn_n == pytest.approx(-0.5)
     assert report.beneficial
@@ -96,7 +96,7 @@ def test_occupancy_single_new_fp_box():
     orig = [_det(0, 0, 10, 10)]
     corr = [_det(0, 0, 10, 10), _det(50, 50, 70, 70, conf=0.99)]
     e = _eval((1, 0, 0), (1, 1, 0))
-    report = severity(e, orig, corr, orig, (100, 100))
+    report = severity(e, orig, corr, (100, 100))
     assert report.a_fp_occ == pytest.approx(0.04, abs=1e-12)
     assert report.a_fn_vac == 0.0
 
@@ -118,7 +118,7 @@ def test_occupancy_matches_pixel_oracle_on_constructed_cases():
     width = height = 32
     for orig, corr in cases:
         e = _eval((1, 0, 0), (1, 1, 0))
-        report = severity(e, orig, corr, [], (width, height))
+        report = severity(e, orig, corr, (width, height))
         orig_boxes = [d.box for d in orig]
         corr_boxes = [d.box for d in corr]
         fp_pixels = oracle_count(corr_boxes, width, height, minus=orig_boxes)
@@ -133,7 +133,7 @@ def test_confidence_and_size_averages():
     orig = [_det(0, 0, 10, 10, conf=0.8), _det(0, 0, 20, 10, conf=0.6)]
     corr = [_det(0, 0, 40, 50, conf=1.0)]
     e = _eval((2, 0, 0), (1, 0, 1))
-    report = severity(e, orig, corr, orig, (100, 100))
+    report = severity(e, orig, corr, (100, 100))
     assert report.avg_conf_orig == pytest.approx(0.7)
     assert report.avg_conf_corr == pytest.approx(1.0)
     assert report.avg_size_orig == pytest.approx(150.0)
@@ -144,10 +144,10 @@ def test_severity_confidence_invariance_of_blob_features():
     orig = [_det(0, 0, 10, 10, conf=0.9)]
     corr = [_det(0, 0, 10, 10, conf=0.9), _det(40, 40, 60, 60, conf=0.7)]
     e = _eval((1, 0, 0), (1, 1, 0))
-    base = severity(e, orig, corr, orig, (100, 100))
+    base = severity(e, orig, corr, (100, 100))
     scaled_orig = [Detection(d.box, d.category, d.confidence / 2) for d in orig]
     scaled_corr = [Detection(d.box, d.category, d.confidence / 2) for d in corr]
-    scaled = severity(e, scaled_orig, scaled_corr, orig, (100, 100))
+    scaled = severity(e, scaled_orig, scaled_corr, (100, 100))
     assert scaled.a_fp_occ == base.a_fp_occ
     assert scaled.a_fn_vac == base.a_fn_vac
     assert scaled.delta_fp == base.delta_fp
@@ -157,20 +157,20 @@ def test_severity_confidence_invariance_of_blob_features():
 def test_a_fn_vac_zero_when_identical():
     dets = [_det(5, 5, 25, 25)]
     e = _eval((1, 0, 0), (1, 0, 0))
-    report = severity(e, dets, dets, dets, (64, 64))
+    report = severity(e, dets, dets, (64, 64))
     assert report.a_fn_vac == 0.0
     assert report.a_fp_occ == 0.0
 
 
 def test_delta_fn_is_one_when_all_tps_lost():
     e = _eval((4, 0, 0), (0, 0, 4))
-    report = severity(e, [], [], [], (64, 64))
+    report = severity(e, [], [], (64, 64))
     assert report.delta_fn_n == 1.0
 
 
 def test_zero_area_image_rejected():
     with pytest.raises(ValueError):
-        severity(_eval((1, 0, 0), (1, 0, 0)), [], [], [], (0, 100))
+        severity(_eval((1, 0, 0), (1, 0, 0)), [], [], (0, 100))
 
 
 def _descriptor(bit):

@@ -62,7 +62,7 @@ def test_hand_fixture_static_blob_with_dropout():
         ["#...."],
     ])
     cfg = TrackerConfig(m=2, n=3, vicinity_px=0, coasting=True)
-    got = track(frames, cfg).masks
+    got = track(frames, cfg)
     # warm-up: frames 0 and 1 empty
     assert not got[0].any() and not got[1].any()
     # frame 2: counts over frames 0-2: pixel0=3, pixel2=2 -> strong; pixel2
@@ -76,7 +76,7 @@ def test_hand_fixture_static_blob_with_dropout():
     assert got[5].tolist() == [[True, False, True, False, False]]
 
     # same sequence without coasting: dropouts disappear from the mask
-    got_nc = track(frames, TrackerConfig(m=2, n=3, vicinity_px=0, coasting=False)).masks
+    got_nc = track(frames, TrackerConfig(m=2, n=3, vicinity_px=0, coasting=False))
     assert got_nc[2].tolist() == [[True, False, False, False, False]]
     assert got_nc[3].tolist() == [[True, False, True, False, False]]
     assert got_nc[5].tolist() == [[True, False, False, False, False]]
@@ -92,14 +92,14 @@ def test_hand_fixture_vicinity_rescues_moving_pixel():
         ["...##..."],
     ])
     cfg = TrackerConfig(m=2, n=3, vicinity_px=2, coasting=False)
-    got = track(frames, cfg).masks
+    got = track(frames, cfg)
     # frame 2: counts over 0-2: p1=2,p2=2 strong; occupied now: p2,p3;
     # p3 rescued by vicinity (p1,p2 within 2)
     assert got[2].tolist() == [[False, False, True, True, False, False, False, False]]
     # frame 3: counts over 1-3: p2=2,p3=2 strong; occupied p3,p4; p4 rescued
     assert got[3].tolist() == [[False, False, False, True, True, False, False, False]]
     # without vicinity, only the own-count pixels that are occupied remain
-    got_nv = track(frames, TrackerConfig(m=2, n=3, vicinity_px=0, coasting=False)).masks
+    got_nv = track(frames, TrackerConfig(m=2, n=3, vicinity_px=0, coasting=False))
     assert got_nv[2].tolist() == [[False, False, True, False, False, False, False, False]]
 
 
@@ -112,7 +112,7 @@ def test_spec_rule_examples():
         if t not in (2, 7, 11):
             frames[t][0, 10] = True
     cfg = TrackerConfig(m=10, n=15, vicinity_px=0, coasting=True)
-    assert track(frames, cfg).masks[14][0, 10]
+    assert track(frames, cfg)[14][0, 10]
 
     # pixel occupied 9/15 with a strong neighbor 30 px away -> persistent
     # dynamic under vicinity 50, not persistent without vicinity
@@ -123,10 +123,10 @@ def test_spec_rule_examples():
         if t >= 4:
             frames[t][0, 30] = True          # neighbor count 11
     with_vicinity = track(frames, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=False))
-    assert with_vicinity.masks[14][0, 60]
+    assert with_vicinity[14][0, 60]
     without = track(frames, TrackerConfig(m=10, n=15, vicinity_px=0, coasting=False))
-    assert not without.masks[14][0, 60]
-    assert without.masks[14][0, 30]
+    assert not without[14][0, 60]
+    assert without[14][0, 30]
 
     # FN-style (no coasting): pixel unoccupied in the current frame is never
     # persistent there
@@ -134,9 +134,9 @@ def test_spec_rule_examples():
     for t in range(14):
         frames[t][0, 5] = True
     out = track(frames, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=False))
-    assert not out.masks[14][0, 5]
+    assert not out[14][0, 5]
     out_coast = track(frames, TrackerConfig(m=10, n=15, vicinity_px=50, coasting=True))
-    assert out_coast.masks[14][0, 5]
+    assert out_coast[14][0, 5]
 
 
 def _random_sequence(rng, frames=20, shape=(12, 18), p=0.3):
@@ -149,7 +149,7 @@ def test_matches_shift_oracle_on_random_sequences():
         for vicinity in (0, 1, 3):
             blobs = _random_sequence(rng)
             cfg = TrackerConfig(m=3, n=5, vicinity_px=vicinity, coasting=coasting)
-            got = track(blobs, cfg).masks
+            got = track(blobs, cfg)
             expected = oracle_track(blobs, 3, 5, vicinity, coasting)
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e)
@@ -158,8 +158,8 @@ def test_matches_shift_oracle_on_random_sequences():
 def test_monotonicity_in_m():
     rng = np.random.default_rng(9)
     blobs = _random_sequence(rng, frames=25, p=0.5)
-    loose = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=2, coasting=True)).masks
-    strict = track(blobs, TrackerConfig(m=5, n=6, vicinity_px=2, coasting=True)).masks
+    loose = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=2, coasting=True))
+    strict = track(blobs, TrackerConfig(m=5, n=6, vicinity_px=2, coasting=True))
     for lo, hi in zip(strict, loose):
         assert not (lo & ~hi).any()  # strict set is a subset
 
@@ -167,8 +167,8 @@ def test_monotonicity_in_m():
 def test_monotonicity_in_vicinity():
     rng = np.random.default_rng(10)
     blobs = _random_sequence(rng, frames=25, p=0.4)
-    small = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=1, coasting=False)).masks
-    large = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=4, coasting=False)).masks
+    small = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=1, coasting=False))
+    large = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=4, coasting=False))
     for s, l in zip(small, large):
         assert not (s & ~l).any()
 
@@ -176,7 +176,7 @@ def test_monotonicity_in_vicinity():
 def test_no_coasting_is_subset_of_current_occupancy():
     rng = np.random.default_rng(11)
     blobs = _random_sequence(rng, frames=25, p=0.5)
-    out = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=3, coasting=False)).masks
+    out = track(blobs, TrackerConfig(m=3, n=6, vicinity_px=3, coasting=False))
     for mask, blob in zip(out, blobs):
         assert not (mask & ~blob).any()
 
@@ -184,8 +184,8 @@ def test_no_coasting_is_subset_of_current_occupancy():
 def test_warm_up_frames_empty_and_length_validation():
     blobs = [np.ones((4, 4), dtype=bool)] * 15
     out = track(blobs, TrackerConfig())
-    assert all(not m.any() for m in out.masks[:14])
-    assert out.masks[14].all()
+    assert all(not m.any() for m in out[:14])
+    assert out[14].all()
     with pytest.raises(ValueError):
         track(blobs[:10], TrackerConfig())
     with pytest.raises(ValueError):

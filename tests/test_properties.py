@@ -268,7 +268,7 @@ def _faulty_scenes(draw):
 @given(_faulty_scenes())
 def test_resumed_inference_matches_dense_reference(case):
     scene, fault = case
-    golden = infer(MODEL, scene, keep_activations=True)
+    golden = infer(MODEL, scene)
     resumed = infer(MODEL, scene, fault=fault, golden=golden)
     reference = dense_infer(MODEL, scene, fault)
     assert resumed.detections == reference.detections
@@ -563,4 +563,4 @@ def test_score_matches_assign_and_severity(pair, gts, policy, iou_threshold, dim
     scored = _score(cfg, counts(orig), raster_orig, dims, nan, False, key="img", image_id="img",
                     gts=gts, orig=orig, corr=corr)
     evaluation = ImageEval("img", counts(orig), counts(corr), nan_flag=nan)
-    assert repr(scored.report) == repr(severity(evaluation, orig, corr, gts, dims))
+    assert repr(scored.report) == repr(severity(evaluation, orig, corr, dims))
