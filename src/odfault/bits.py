@@ -21,6 +21,7 @@ __all__ = [
     "apply_fault",
     "classify_value",
     "sample_fault",
+    "BIT_POLICIES",
     "rescale_rate",
     "EXPONENT_RESCALE_FACTOR",
 ]
@@ -153,7 +154,7 @@ def classify_value(value) -> str:
     return "inf" if (pattern & FP32.mantissa_mask) == 0 else "nan"
 
 
-_BIT_POLICIES = ("all_32", "exponent_only", "mantissa_only")
+BIT_POLICIES = ("all_32", "exponent_only", "mantissa_only")
 
 
 def sample_fault(
@@ -169,7 +170,7 @@ def sample_fault(
     layer's tensor, then a bit position from the policy. Deterministic
     for a fixed seed (an int or a numpy SeedSequence).
     """
-    if bit_policy not in _BIT_POLICIES:
+    if bit_policy not in BIT_POLICIES:
         raise ValueError(f"unknown bit policy {bit_policy!r}")
     target = FaultTarget(target)
     shapes = catalog.shapes_for(target)

@@ -32,6 +32,7 @@ import numpy as np
 
 from odfault import ap as ap_mod
 from odfault.bits import (
+    BIT_POLICIES,
     FaultDescriptor,
     FaultMode,
     FaultTarget,
@@ -71,7 +72,8 @@ class ConfigError(Exception):
 
 
 # Largest scene side: a golden trace holds 41 float32 planes of the scene,
-# about 170 MB at 1024 x 1024.
+# about 170 MB at 1024 x 1024, and a permanent injection 2 MB of masks per
+# frame at that side (``_CHUNK_MASK_BYTES`` bounds them per work item).
 MAX_SCENE_SIDE = 1024
 
 # Most worker processes: a process pool starts all of its workers at once.
@@ -119,9 +121,9 @@ class CampaignConfig:
             raise ConfigError(f"seed is mandatory and must not be negative, got {self.seed}")
         if self.mode in ("transient", "permanent") and self.n_injections < 1:
             raise ConfigError("n_injections must be at least 1")
-        if self.target not in ("neuron", "weight"):
+        if self.target not in [target.value for target in FaultTarget]:
             raise ConfigError(f"unknown target {self.target!r}")
-        if self.bit_policy not in ("all_32", "exponent_only", "mantissa_only"):
+        if self.bit_policy not in BIT_POLICIES:
             raise ConfigError(f"unknown bit policy {self.bit_policy!r}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers must lie in 1..{MAX_WORKERS}, got {self.workers}")
@@ -474,12 +476,16 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
 # permanent campaign
 
 
-# injections per permanent work item; bounds the blob masks a worker holds
+# injections per permanent work item, and the bytes of FP and FN blob masks
+# (two bool masks per injection and frame) one work item may hold
 _PERMANENT_CHUNK = 32
+_CHUNK_MASK_BYTES = 1 << 30
 
 
 def _permanent_chunks(cfg: CampaignConfig) -> list[range]:
-    size = min(_PERMANENT_CHUNK, math.ceil(cfg.n_injections / cfg.workers))
+    mask_bytes = 2 * cfg.n_frames * cfg.scene_spec.width * cfg.scene_spec.height
+    size = min(_PERMANENT_CHUNK, math.ceil(cfg.n_injections / cfg.workers),
+               max(1, _CHUNK_MASK_BYTES // mask_bytes))
     return [range(start, min(start + size, cfg.n_injections))
             for start in range(0, cfg.n_injections, size)]
 

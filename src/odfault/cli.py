@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from odfault.bits import BIT_POLICIES, FaultTarget
 from odfault.campaign import (
     CampaignConfig,
     ConfigError,
@@ -34,11 +35,10 @@ def _add_common(parser, mode):
     parser.add_argument("--out", required=True, help="output directory")
     if mode in ("transient", "permanent"):
         parser.add_argument("--n-injections", type=int, dest="n_injections")
-        parser.add_argument("--target", choices=("neuron", "weight"))
+        parser.add_argument("--target", choices=[target.value for target in FaultTarget])
         parser.add_argument("--workers", type=int)
     if mode == "transient":
-        parser.add_argument("--bit-policy", dest="bit_policy",
-                            choices=("all_32", "exponent_only", "mantissa_only"))
+        parser.add_argument("--bit-policy", dest="bit_policy", choices=BIT_POLICIES)
     if mode == "permanent":
         parser.add_argument("--n-frames", type=int, dest="n_frames")
         parser.add_argument("--emit-masks", type=int, dest="emit_masks")

@@ -28,7 +28,6 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +104,6 @@ class ConvLayer:
 @dataclass(frozen=True)
 class DetectorModel:
     layers: tuple[ConvLayer, ...]
-    confidence_threshold: float = 0.5
-    nms_threshold: float = 0.5
-    max_detections: int = 1000
 
 
 @dataclass(frozen=True)
@@ -303,18 +299,21 @@ def reference_model() -> DetectorModel:
     return DetectorModel(layers)
 
 
+def _site_shape(layer: ConvLayer, target: FaultTarget, height: int, width: int) -> tuple[int, ...]:
+    """Shape of the activation or weight tensor a ``target`` fault in ``layer`` corrupts."""
+    if target == FaultTarget.NEURON:
+        return (layer.weights.shape[0], height, width)
+    return tuple(layer.weights.shape)
+
+
 def shape_catalog(model: DetectorModel, height: int = 64, width: int = 64) -> ShapeCatalog:
     """Exact activation and filter tensor shapes for every conv layer.
 
     Activations are same-padded, so every neuron tensor has the scene's
     ``height`` x ``width`` extent.
     """
-    neuron_shapes = []
-    weight_shapes = []
-    for layer in model.layers:
-        weight_shapes.append(tuple(layer.weights.shape))
-        neuron_shapes.append((layer.weights.shape[0], height, width))
-    return ShapeCatalog(tuple(neuron_shapes), tuple(weight_shapes))
+    return ShapeCatalog(*(tuple(_site_shape(layer, target, height, width) for layer in model.layers)
+                          for target in (FaultTarget.NEURON, FaultTarget.WEIGHT)))
 
 
 def _accumulate(padded: np.ndarray, weights: np.ndarray, bias, taps, height: int,
@@ -332,15 +331,18 @@ def _convolve(x: np.ndarray, layer: ConvLayer, window=None) -> np.ndarray:
     ``window``, a ``(row0, row1, col0, col1)`` half-open box, restricts the
     output to those pixels. Every output element is accumulated on its own
     over its taps in (input channel, row, column) order, so a part of the
-    result is bit-identical to the same part of the full result.
+    result is bit-identical to the same part of the full result, except
+    which NaN a sum of two NaNs keeps (numpy's choice depends on position).
 
     Taps whose weight is +-0 are skipped while the input the window reads
     is all finite; the tap lists come from the weights passed in, so a
-    corrupted weight counts. Over finite input, leaving out a +-0 product
-    can only leave -0.0 where the every-tap sum holds +0.0 (-0.0 + 0.0 is
-    +0.0), so a channel whose sparse sum holds a -0.0 is recomputed with
-    every tap. Input holding Inf or NaN always takes every tap, so that
-    0 * inf = nan propagates exactly.
+    corrupted weight counts. Adding a +-0 product changes a sum only when
+    the sum is -0.0 (to +0.0) or a signalling NaN (quieted). Under
+    round-to-nearest ``x + y`` is -0.0 only when both are -0.0, and
+    arithmetic never yields a signalling NaN, so only the bias can start a
+    sum in either state. A channel whose bias is -0.0 or NaN therefore
+    takes every tap, and so does every channel when the input holds Inf or
+    NaN, so that 0 * inf = nan propagates exactly.
     """
     c_in, height, width = x.shape
     weights, biases = layer.weights, layer.biases
@@ -355,23 +357,18 @@ def _convolve(x: np.ndarray, layer: ConvLayer, window=None) -> np.ndarray:
         padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
         r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
         padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
+    finite = bool(np.isfinite(padded).all())
+    every_tap = ((biases == 0) & np.signbit(biases)) | np.isnan(biases) | (not finite)
+    used = (weights != 0) | every_tap[:, None, None, None]
+    taps: list[list] = [[] for _ in range(c_out)]
+    # np.nonzero walks the mask in C order, the every-tap order
+    for k, ic, dy, dx in zip(*(i.tolist() for i in np.nonzero(used))):
+        taps[k].append((ic, dy, dx))
+    # overflow to inf and 0*inf=nan are expected results of injected faults
     out = np.empty((c_out, out_h, out_w), dtype=F32)
-    # overflow to inf and 0*inf=nan are expected consequences of injected
-    # faults, not numerical accidents worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(padded).all():
-            taps: list[list] = [[] for _ in range(c_out)]
-            # np.nonzero walks the weights in C order, the every-tap order
-            for k, ic, dy, dx in zip(*(i.tolist() for i in np.nonzero(weights))):
-                taps[k].append((ic, dy, dx))
-            for k in range(c_out):
-                out[k] = _accumulate(padded, weights[k], biases[k], taps[k], out_h, out_w)
-            dense = np.flatnonzero(((out == 0) & np.signbit(out)).any(axis=(1, 2))).tolist()
-        else:
-            dense = range(c_out)
-        for k in dense:
-            every_tap = itertools.product(range(c_in), range(kh), range(kw))
-            out[k] = _accumulate(padded, weights[k], biases[k], every_tap, out_h, out_w)
+        for k in range(c_out):
+            out[k] = _accumulate(padded, weights[k], biases[k], taps[k], out_h, out_w)
     return out
 
 
@@ -391,18 +388,22 @@ def _sigmoid32(v: np.float32) -> np.float32:
 # weakest is ~0.175) yet above anything a denormal-level perturbation of an
 # exactly-zero score can produce.
 SCORE_GATE = F32(0.0625)
+# Decode head: least confidence kept (area 5 and up), NMS overlap, detection cap.
+_CONFIDENCE_THRESHOLD = 0.5
+_NMS_THRESHOLD = 0.5
+_MAX_DETECTIONS = 1000
 
 
-def _decode(scores: np.ndarray, model: DetectorModel) -> list[Detection]:
+def _decode(scores: np.ndarray) -> list[Detection]:
     detections: list[Detection] = []
     for category in range(scores.shape[0]):
         occupied = scores[category] > SCORE_GATE  # NaN scores gate to unoccupied
         for area, top, left, bottom, right in _components(occupied):
             conf = _sigmoid32(F32(0.25) * (F32(area) - F32(4.0)))
-            if conf > model.confidence_threshold:
+            if conf > _CONFIDENCE_THRESHOLD:
                 box = Box(float(left), float(top), float(right), float(bottom))
                 detections.append(Detection(box, category, float(conf)))
-    return nms(detections, model.nms_threshold, model.max_detections)
+    return nms(detections, _NMS_THRESHOLD, _MAX_DETECTIONS)
 
 
 def _components(mask: np.ndarray) -> list[tuple[int, int, int, int, int]]:
@@ -460,13 +461,11 @@ def _root(parent: list[int], k: int) -> int:
 def _check_fault(model: DetectorModel, scene: Scene, fault: FaultDescriptor) -> None:
     if not 0 <= fault.layer_index < len(model.layers):
         raise ValueError(f"fault layer {fault.layer_index} outside 0..{len(model.layers) - 1}")
-    shape = model.layers[fault.layer_index].weights.shape
-    if fault.target == FaultTarget.NEURON:
-        shape = (shape[0], scene.height, scene.width)
+    shape = _site_shape(model.layers[fault.layer_index], fault.target, scene.height, scene.width)
     if len(fault.tensor_coords) != len(shape) or not all(
         0 <= c < s for c, s in zip(fault.tensor_coords, shape)
     ):
-        raise ValueError(f"fault coords {fault.tensor_coords} invalid for shape {tuple(shape)}")
+        raise ValueError(f"fault coords {fault.tensor_coords} invalid for shape {shape}")
 
 
 def _nonfinite(x: np.ndarray) -> tuple[bool, bool]:
@@ -503,7 +502,7 @@ def infer(
         x = _activate(_convolve(x, layer), layer.activation)
         layer_flags.append(_nonfinite(x))
         activations.append(x)  # never written after this point
-    return InferenceTrace(tuple(_decode(x, model)), tuple(activations), tuple(layer_flags))
+    return InferenceTrace(tuple(_decode(x)), tuple(activations), tuple(layer_flags))
 
 
 def _changed_box(x: np.ndarray, golden: np.ndarray, window) -> tuple[int, int, int, int] | None:
@@ -578,4 +577,4 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         y[:, window[0]:window[1], window[2]:window[3]] = \
             _activate(_convolve(x, layer, window=window), layer.activation)
         x = y
-    return InferenceTrace(tuple(_decode(x, model)), tuple(activations), tuple(layer_flags))
+    return InferenceTrace(tuple(_decode(x)), tuple(activations), tuple(layer_flags))

@@ -59,7 +59,7 @@ def dense_infer(model, scene, fault=None) -> InferenceTrace:
         flags.append((bool(np.isnan(x).any()), bool(np.isinf(x).any())))
         activations.append(x)
     return InferenceTrace(
-        detections=tuple(_decode(x, model)),
+        detections=tuple(_decode(x)),
         activations=tuple(activations),
         layer_flags=tuple(flags),
     )

@@ -18,6 +18,7 @@ from odfault.campaign import (
     MAX_WORKERS,
     CampaignConfig,
     ConfigError,
+    _permanent_chunks,
     ingest_and_score,
     run_permanent,
     run_transient,
@@ -260,6 +261,20 @@ def test_outputs_identical_at_one_and_two_workers(tmp_path, runner, cfg):
     assert one == _campaign_files(tmp_path / "w2")
     if runner is run_permanent:
         assert any(name.endswith(".pgm") for name in one)  # seed 20 persists
+
+
+@pytest.mark.parametrize("side, workers, sizes", [
+    (64, 1, [32, 32, 32, 4]),
+    (64, 4, [25, 25, 25, 25]),
+    (1024, 1, [8] * 12 + [4]),  # 2 x 60 x 1 MB of masks per injection
+    (1024, 64, [2] * 50),
+])
+def test_permanent_chunks_are_sized_by_mask_memory(side, workers, sizes):
+    cfg = CampaignConfig(mode="permanent", seed=0, n_injections=100, workers=workers,
+                         scene_spec=SceneSpec(width=side, height=side))
+    chunks = _permanent_chunks(cfg)
+    assert [len(chunk) for chunk in chunks] == sizes
+    assert [i for chunk in chunks for i in chunk] == list(range(100))
 
 
 def test_permanent_accepts_integer_severity_level_from_cli(tmp_path):

@@ -1,5 +1,6 @@
 """Property tests: the config echo round trip, assignment invariances,
-the batched IoU against the per-pair one, resumed inference against the dense every-tap reference, AP against the
+the batched IoU against the per-pair one, resumed inference and the
+sparse convolution against the dense every-tap reference, AP against the
 per-threshold greedy reference, mutated record files at the CLI, record
 parsing against the ``isinstance`` reference, image scoring against
 ``assign`` and ``severity`` called directly, the in-house assignment
@@ -25,13 +26,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ap_reference  # noqa: E402
 import records_reference  # noqa: E402
-from dense_reference import dense_infer  # noqa: E402
+from dense_reference import dense_conv, dense_infer  # noqa: E402
 from odfault import ap, cli  # noqa: E402
 from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
 from odfault.campaign import (  # noqa: E402
     CampaignConfig, _score, run_permanent, run_transient)
 from odfault.detector import (  # noqa: E402
-    SceneSpec, _components, generate_scene, infer, reference_model, shape_catalog)
+    ConvLayer, SceneSpec, _components, _convolve, generate_scene, infer, reference_model,
+    shape_catalog)
 from odfault.geometry import Box, Detection, _ious, iou, rasterize  # noqa: E402
 from odfault.matching import (  # noqa: E402
     CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix)
@@ -274,6 +276,55 @@ def test_resumed_inference_matches_dense_reference(case):
     assert resumed.detections == reference.detections
     assert (resumed.nan_seen, resumed.inf_seen) == (reference.nan_seen, reference.inf_seen)
     assert resumed.layer_flags == reference.layer_flags
+
+
+# Zero weights of either sign are what the sparse convolution skips; the
+# rest are subnormal, ordinary or large enough to overflow a sum. A -0.0 or
+# NaN bias and a non-finite input are the cases that must take every tap.
+_tap_weights = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1e-45, -3e-39]),
+                         st.floats(width=32, allow_nan=False, allow_infinity=False))
+_tap_specials = st.sampled_from([0.0, -0.0, 1e-45, -5e-39, math.inf, -math.inf, math.nan])
+# +0.0, -0.0, -0.7, 0.5, a quiet and a signalling NaN, as raw float32 bits
+_BIAS_PATTERNS = [0x00000000, 0x80000000, 0xBF333333, 0x3F000000, 0x7FC00000, 0x7F800001]
+
+
+@st.composite
+def _conv_cases(draw):
+    k = draw(st.sampled_from([1, 3]))
+    c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    weights = np.array(draw(st.lists(_tap_weights, min_size=c_out * c_in * k * k,
+                                     max_size=c_out * c_in * k * k)),
+                       dtype=np.float32).reshape(c_out, c_in, k, k)
+    # a filter without a non-zero tap leaves the bias alone in its sums
+    dead = np.array(draw(st.lists(st.booleans(), min_size=c_out, max_size=c_out)))
+    weights[dead] *= np.float32(0)
+    biases = np.array(draw(st.lists(st.sampled_from(_BIAS_PATTERNS), min_size=c_out,
+                                    max_size=c_out)), dtype=np.uint32).view(np.float32)
+    x = np.array(draw(st.lists(st.floats(-4.0, 4.0, width=32), min_size=c_in * height * width,
+                               max_size=c_in * height * width)), dtype=np.float32)
+    for index, value in draw(st.lists(st.tuples(st.integers(0, x.size - 1), _tap_specials),
+                                      max_size=3)):
+        x[index] = value
+    row0, col0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    window = (row0, draw(st.integers(row0 + 1, height)), col0, draw(st.integers(col0 + 1, width)))
+    return ConvLayer(weights, biases, "relu"), x.reshape(c_in, height, width), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conv_cases())
+def test_sparse_convolution_matches_dense_conv(case):
+    layer, x, (row0, row1, col0, col1) = case
+    dense = dense_conv(x, layer.weights, layer.biases)
+    assert np.array_equal(_convolve(x, layer).view(np.uint32), dense.view(np.uint32))
+    # Where a sum meets two NaNs, numpy's float32 add keeps the first in its
+    # SIMD body and the second in the tail, so a window, whose arrays are
+    # shorter, may keep the other NaN; it matches in every other bit.
+    part = _convolve(x, layer, window=(row0, row1, col0, col1)).view(np.uint32)
+    expected = dense[:, row0:row1, col0:col1]
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(part.view(np.float32)), nan)
+    assert np.array_equal(part[~nan], expected.view(np.uint32)[~nan])
 
 
 # Integer-grid corners make IoUs land exactly on thresholds (a 4x4 gt and a
