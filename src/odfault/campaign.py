@@ -519,7 +519,8 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
         orig_rasters.append(orig_raster)
         for k, fault in enumerate(faults):
             trace = infer(model, frame, fault=fault, golden=golden)
-            corr_raster = rasterize([d.box for d in trace.detections], frame.width, frame.height)
+            corr_raster = (orig_raster if trace.detections == golden.detections else
+                           rasterize([d.box for d in trace.detections], frame.width, frame.height))
             fp_blobs[k].append(corr_raster & ~orig_raster)
             fn_blobs[k].append(orig_raster & ~corr_raster)
             due_frames[k] += int(trace.nan_seen or trace.inf_seen)

@@ -320,12 +320,22 @@ def _accumulate(padded: np.ndarray, weights: np.ndarray, bias, taps, height: int
                 width: int) -> np.ndarray:
     """One output channel: ``bias`` plus ``weights[tap] * input`` over ``taps`` in order."""
     acc = np.full((height, width), bias, dtype=F32)
+    # out of place: on one-element arrays numpy's in-place add keeps the
+    # second of two NaNs, not the first, and a fault on that NaN sees its sign
     for ic, dy, dx in taps:
         acc = acc + weights[ic, dy, dx] * padded[ic, dy:dy + height, dx:dx + width]
     return acc
 
 
-def _convolve(x: np.ndarray, layer: ConvLayer, window=None) -> np.ndarray:
+def _used_taps(layer: ConvLayer, finite: bool) -> np.ndarray:
+    """Mask over ``layer.weights`` of the taps that ``_convolve`` multiplies
+    when its input is finite (``finite``) or may hold Inf or NaN."""
+    biases = layer.biases
+    every_tap = ((biases == 0) & np.signbit(biases)) | np.isnan(biases) | (not finite)
+    return (layer.weights != 0) | every_tap[:, None, None, None]
+
+
+def _convolve(x: np.ndarray, layer: ConvLayer, window=None, finite: bool = False) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
     ``window``, a ``(row0, row1, col0, col1)`` half-open box, restricts the
@@ -335,7 +345,8 @@ def _convolve(x: np.ndarray, layer: ConvLayer, window=None) -> np.ndarray:
     which NaN a sum of two NaNs keeps (numpy's choice depends on position).
 
     Taps whose weight is +-0 are skipped while the input the window reads
-    is all finite; the tap lists come from the weights passed in, so a
+    is all finite; ``finite`` says the caller knows ``x`` is, otherwise the
+    window is scanned. The tap lists come from the weights passed in, so a
     corrupted weight counts. Adding a +-0 product changes a sum only when
     the sum is -0.0 (to +0.0) or a signalling NaN (quieted). Under
     round-to-nearest ``x + y`` is -0.0 only when both are -0.0, and
@@ -357,9 +368,7 @@ def _convolve(x: np.ndarray, layer: ConvLayer, window=None) -> np.ndarray:
         padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
         r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
         padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
-    finite = bool(np.isfinite(padded).all())
-    every_tap = ((biases == 0) & np.signbit(biases)) | np.isnan(biases) | (not finite)
-    used = (weights != 0) | every_tap[:, None, None, None]
+    used = _used_taps(layer, finite or bool(np.isfinite(padded).all()))
     taps: list[list] = [[] for _ in range(c_out)]
     # np.nonzero walks the mask in C order, the every-tap order
     for k, ic, dy, dx in zip(*(i.tolist() for i in np.nonzero(used))):
@@ -468,8 +477,19 @@ def _check_fault(model: DetectorModel, scene: Scene, fault: FaultDescriptor) -> 
         raise ValueError(f"fault coords {fault.tensor_coords} invalid for shape {shape}")
 
 
+_FINITE = (False, False)  # the (nan, inf) flags of a layer without Inf or NaN
+
+
 def _nonfinite(x: np.ndarray) -> tuple[bool, bool]:
+    if np.isfinite(x).all():
+        return _FINITE
     return bool(np.isnan(x).any()), bool(np.isinf(x).any())
+
+
+def _finite_input(layer_flags, index: int) -> bool:
+    """Whether layer ``index`` reads a layer known to be finite; the scene's
+    pixels, the first layer's input, are left to ``_convolve`` to scan."""
+    return index > 0 and layer_flags[index - 1] == _FINITE
 
 
 def infer(
@@ -498,50 +518,63 @@ def infer(
     x = scene.pixels[None, :, :].astype(F32, copy=False)
     layer_flags = []
     activations = []
-    for layer in model.layers:
-        x = _activate(_convolve(x, layer), layer.activation)
+    for index, layer in enumerate(model.layers):
+        x = _activate(_convolve(x, layer, finite=_finite_input(layer_flags, index)), layer.activation)
         layer_flags.append(_nonfinite(x))
         activations.append(x)  # never written after this point
     return InferenceTrace(tuple(_decode(x)), tuple(activations), tuple(layer_flags))
 
 
-def _changed_box(x: np.ndarray, golden: np.ndarray, window) -> tuple[int, int, int, int] | None:
-    """Bounding box of the pixels where ``x`` and ``golden`` differ in any
-    bit, searched inside ``window``; None when they are identical there."""
+def _changed(part: np.ndarray, golden: np.ndarray, channels: list[int], window, golden_nan: bool):
+    """Where ``part``, the recomputed ``channels`` x ``window`` of a layer,
+    differs from ``golden`` in any bit: the bounding box of those pixels and
+    the channels that hold them, or None. A pixel that is NaN in both is
+    unchanged whatever its payload, so ``golden_nan`` says whether to look."""
     row0, row1, col0, col1 = window
-    changed = x[:, row0:row1, col0:col1].view(np.uint32) != golden[:, row0:row1, col0:col1].view(np.uint32)
+    ref = golden[channels, row0:row1, col0:col1]
+    changed = part.view(np.uint32) != ref.view(np.uint32)
+    if golden_nan:
+        changed &= ~(np.isnan(part) & np.isnan(ref))
     rows = np.flatnonzero(changed.any(axis=(0, 2)))
     if not rows.size:
         return None
     cols = np.flatnonzero(changed.any(axis=(0, 1)))
-    return row0 + int(rows[0]), row0 + int(rows[-1]) + 1, col0 + int(cols[0]), col0 + int(cols[-1]) + 1
+    box = (row0 + int(rows[0]), row0 + int(rows[-1]) + 1, col0 + int(cols[0]), col0 + int(cols[-1]) + 1)
+    return box, [c for c, hit in zip(channels, changed.any(axis=(1, 2)).tolist()) if hit]
 
 
 def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
             golden: InferenceTrace) -> InferenceTrace:
     """Faulty pass restarted from the golden input of the fault's layer.
 
-    A weight fault changes only output channel f of its layer, so only that
-    channel is recomputed, by a one-filter layer holding a corrupted copy of
-    filter f; later layers read the model as it is. A neuron fault patches
-    one element of the golden output. After every layer the faulty output
-    is compared with golden over its raw bits (so -0.0 and NaN payloads
-    count as differences) inside the window that was recomputed; on a
-    match the rest of the pass is golden's, detections and NaN/Inf flags
-    included. Otherwise the bounding box of the differing pixels, dilated
-    by the next layer's kernel radius and clipped to the scene, is the only
-    window of the next layer that is recomputed; the rest of its output is
-    golden's. NaN/Inf is scanned over the box alone when golden's layer is
-    finite. Decode runs only when the last layer's output differs. The
-    trace holds golden's activations with the recomputed layers in their
-    place.
+    Each layer recomputes only a part of its output, some channels inside a
+    window, and the rest of it is golden's. A weight fault changes only
+    output channel f of its layer, so its part is channel f over the whole
+    scene, from a one-filter layer holding a corrupted copy of filter f;
+    later layers read the model as it is. A neuron fault's part is the one
+    element it patches. Each part is compared with golden over raw bits,
+    except that a NaN in both counts as unchanged; when nothing differs at
+    the fault's layer the pass is golden's trace itself, and at a later
+    layer the rest of the pass is golden's, detections and NaN/Inf flags
+    included.
+
+    Otherwise the next layer's window is the bounding box of the differing
+    pixels, dilated by its kernel radius and clipped to the scene, and its
+    channels are the cone of the differing ones: those whose tap list
+    reads a differing channel. When the input layer holds Inf or NaN, in
+    the faulty pass or in golden's, every channel is recomputed instead,
+    since a zero weight times Inf is NaN. Outside the cone a channel's tap
+    list reads only unchanged input, so its golden output stands bit for
+    bit. NaN/Inf is scanned over the part alone when golden's layer is
+    finite. Decode runs only when the last layer changed a score's side of
+    ``SCORE_GATE``, because decode reads nothing else. The trace holds
+    golden's activations with the changed layers in their place.
     """
     if len(golden.activations) != len(model.layers):
         raise ValueError(f"golden trace has {len(golden.activations)} layers, "
                          f"the model {len(model.layers)}")
     index = fault.layer_index
     layer = model.layers[index]
-    x = golden.activations[index].copy()
     if fault.target == FaultTarget.WEIGHT:
         x_in = (golden.activations[index - 1] if index
                 else scene.pixels[None, :, :].astype(F32, copy=False))
@@ -549,32 +582,45 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         weights = layer.weights[f:f + 1].copy()
         weights[(0, *tap)] = apply_fault(weights[(0, *tap)], fault.bit, fault.mode)
         one_filter = ConvLayer(weights, layer.biases[f:f + 1], layer.activation)
-        x[f] = _activate(_convolve(x_in, one_filter), layer.activation)[0]
+        part = _activate(_convolve(x_in, one_filter, finite=_finite_input(golden.layer_flags, index)),
+                         layer.activation)
         window = (0, scene.height, 0, scene.width)
     else:
-        x[fault.tensor_coords] = apply_fault(x[fault.tensor_coords], fault.bit, fault.mode)
-        _, row, col = fault.tensor_coords
+        f, row, col = fault.tensor_coords
+        part = golden.activations[index][f:f + 1, row:row + 1, col:col + 1].copy()
+        part[0, 0, 0] = apply_fault(part[0, 0, 0], fault.bit, fault.mode)
         window = (row, row + 1, col, col + 1)
+    computed = [f]
 
     layer_flags = list(golden.layer_flags)
     activations = list(golden.activations)
     while True:
-        activations[index] = x
-        box = _changed_box(x, golden.activations[index], window)
-        if box is None:
+        golden_finite = golden.layer_flags[index] == _FINITE
+        found = _changed(part, golden.activations[index], computed, window, not golden_finite)
+        if found is None:
+            if index == fault.layer_index:
+                return golden
             return InferenceTrace(golden.detections, tuple(activations), tuple(layer_flags))
-        row0, row1, col0, col1 = box
-        finite_golden = golden.layer_flags[index] == (False, False)
-        layer_flags[index] = _nonfinite(x[:, row0:row1, col0:col1] if finite_golden else x)
+        (row0, row1, col0, col1), changed = found
+        x = golden.activations[index].copy()
+        x[computed, window[0]:window[1], window[2]:window[3]] = part
+        activations[index] = x
+        layer_flags[index] = _nonfinite(part if golden_finite else x)
         index += 1
         if index == len(model.layers):
             break
         layer = model.layers[index]
-        _, _, kh, kw = layer.weights.shape
+        c_out, _, kh, kw = layer.weights.shape
         window = (max(row0 - kh // 2, 0), min(row1 + kh // 2, scene.height),
                   max(col0 - kw // 2, 0), min(col1 + kw // 2, scene.width))
-        y = golden.activations[index].copy()
-        y[:, window[0]:window[1], window[2]:window[3]] = \
-            _activate(_convolve(x, layer, window=window), layer.activation)
-        x = y
-    return InferenceTrace(tuple(_decode(x)), tuple(activations), tuple(layer_flags))
+        finite = layer_flags[index - 1] == _FINITE
+        if finite and golden_finite:
+            computed = np.flatnonzero(_used_taps(layer, True)[:, changed].any(axis=(1, 2, 3))).tolist()
+        else:
+            computed = list(range(c_out))
+        cone = ConvLayer(layer.weights[computed], layer.biases[computed], layer.activation)
+        part = _activate(_convolve(x, cone, window=window, finite=finite), layer.activation)
+
+    gates = [scores[changed, row0:row1, col0:col1] > SCORE_GATE for scores in (x, golden.activations[-1])]
+    detections = golden.detections if np.array_equal(*gates) else tuple(_decode(x))
+    return InferenceTrace(detections, tuple(activations), tuple(layer_flags))

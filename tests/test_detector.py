@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dense_reference import dense_conv, dense_infer
+from dense_reference import dense_conv, dense_infer, same_but_nan_payload
+from odfault import detector
 from odfault.bits import FP32, FaultDescriptor, FaultMode, FaultTarget, sample_fault
 from odfault.detector import (
     BACKGROUND_LEVELS,
@@ -14,6 +15,7 @@ from odfault.detector import (
     DetectorModel,
     Scene,
     SceneSpec,
+    _changed,
     _convolve,
     generate_scene,
     generate_sequence,
@@ -252,6 +254,8 @@ def _check_against_dense(model, scene, fault, golden):
     resumed = infer(model, scene, fault=fault, golden=golden)
     assert _trace_key(resumed) == _trace_key(reference), fault
     assert resumed.layer_flags == reference.layer_flags, fault
+    assert all(same_but_nan_payload(a, b) for a, b in
+               zip(resumed.activations, reference.activations)), fault
     return reference
 
 
@@ -359,6 +363,63 @@ def test_nonfinite_input_multiplies_every_tap():
     assert golden.layer_flags == ((False, True), (True, False))
     for coords in [(0, 6, 1), (0, 2, 5)]:
         _check_against_dense(model, scene, _neuron_fault(0, coords, 23), golden)
+
+
+def test_nan_in_both_is_no_change():
+    # a NaN bias and an Inf input pixel: the full layer and the window
+    # (0, 6, 0, 2) each hold a NaN at (5, 1), and numpy's float32 add may
+    # keep a different one in each; either way the pixel is unchanged
+    x = np.ones((1, 6, 3), dtype=np.float32)
+    x[0, 5, 1] = np.inf
+    nan_bias = np.array([0x7FC00000], dtype=np.uint32).view(np.float32)
+    layer = ConvLayer(np.zeros((1, 1, 1, 1), dtype=np.float32), nan_bias, "relu")
+    full = _convolve(x, layer)
+    window = (0, 6, 0, 2)
+    part = _convolve(x, layer, window=window)
+    assert np.isnan(full).all() and np.isnan(part).all()
+    assert _changed(part, full, [0], window, golden_nan=True) is None
+    other = full.copy()
+    other.view(np.uint32)[...] ^= np.uint32(0x80000001)  # another sign and payload, still NaN
+    assert _changed(part, other, [0], window, golden_nan=True) is None
+    other[0, 2, 1] = 1.0  # a number against a NaN is a change
+    assert _changed(part, other, [0], window, golden_nan=True) == ((2, 3, 1, 2), [0])
+
+
+def test_benign_fault_returns_golden_itself():
+    # a fault whose recomputed part matches golden's bits makes no copy:
+    # the pass is golden's trace, arrays and all
+    scene = generate_scene(SPEC, seed=0)
+    golden = infer(MODEL, scene)
+    faults = [_weight_fault(1, (0, 0, 0, 0), 30, FaultMode.STUCK_AT_1),  # 64.0 has bit 30 set
+              _weight_fault(1, (0, 3, 0, 0), 0),  # a zero weight turns subnormal
+              _neuron_fault(2, (0, 10, 10), 0, FaultMode.STUCK_AT_0)]  # the bit is already clear
+    for fault in faults:
+        resumed = infer(MODEL, scene, fault=fault, golden=golden)
+        assert resumed is golden, fault
+        assert all(a is b for a, b in zip(resumed.activations, golden.activations))
+        _check_against_dense(MODEL, scene, fault, golden)
+
+
+def test_channel_cone_skips_channels_that_read_no_change(monkeypatch):
+    # a weight fault in one L2 stair changes that stair alone; each later
+    # layer recomputes only the channel that reads the changed one
+    scene = generate_scene(SPEC, seed=0)
+    golden = infer(MODEL, scene)
+    fault = _weight_fault(1, (0, 0, 0, 0), 30)  # 64.0 -> ~2e-37: copy 0's low stair of category 0
+    computed = []
+
+    def convolve(x, layer, **kwargs):
+        computed.append(layer.weights.shape[0])
+        return _convolve(x, layer, **kwargs)
+
+    monkeypatch.setattr(detector, "_convolve", convolve)
+    resumed = infer(MODEL, scene, fault=fault, golden=golden)
+    monkeypatch.undo()
+    assert len(computed) >= 2 and set(computed) == {1}
+    changed = [c for c, (a, b) in enumerate(zip(resumed.activations[1], golden.activations[1]))
+               if not _same_bits(a, b)]
+    assert changed == [0]
+    _check_against_dense(MODEL, scene, fault, golden)
 
 
 def test_golden_trace_records_layer_flags_and_leaves_golden_intact():

@@ -1,6 +1,7 @@
 """Property tests: the config echo round trip, assignment invariances,
-the batched IoU against the per-pair one, resumed inference and the
-sparse convolution against the dense every-tap reference, AP against the
+the batched IoU against the per-pair one, resumed inference (on the
+reference model and on small random models) and the sparse convolution
+against the dense every-tap reference, AP against the
 per-threshold greedy reference, mutated record files at the CLI, record
 parsing against the ``isinstance`` reference, image scoring against
 ``assign`` and ``severity`` called directly, the in-house assignment
@@ -26,14 +27,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ap_reference  # noqa: E402
 import records_reference  # noqa: E402
-from dense_reference import dense_conv, dense_infer  # noqa: E402
+from dense_reference import dense_conv, dense_infer, same_but_nan_payload  # noqa: E402
 from odfault import ap, cli  # noqa: E402
 from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
 from odfault.campaign import (  # noqa: E402
     CampaignConfig, _score, run_permanent, run_transient)
 from odfault.detector import (  # noqa: E402
-    ConvLayer, SceneSpec, _components, _convolve, generate_scene, infer, reference_model,
-    shape_catalog)
+    ConvLayer, DetectorModel, Scene, SceneSpec, _components, _convolve, generate_scene, infer,
+    reference_model, shape_catalog)
 from odfault.geometry import Box, Detection, _ious, iou, rasterize  # noqa: E402
 from odfault.matching import (  # noqa: E402
     CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix)
@@ -273,9 +274,76 @@ def test_resumed_inference_matches_dense_reference(case):
     golden = infer(MODEL, scene)
     resumed = infer(MODEL, scene, fault=fault, golden=golden)
     reference = dense_infer(MODEL, scene, fault)
+    _assert_same_trace(resumed, reference)
+
+
+def _assert_same_trace(resumed, reference):
+    """Same detections, flags and activations, NaN payloads excepted."""
     assert resumed.detections == reference.detections
     assert (resumed.nan_seen, resumed.inf_seen) == (reference.nan_seen, reference.inf_seen)
     assert resumed.layer_flags == reference.layer_flags
+    assert len(resumed.activations) == len(reference.activations)
+    assert all(map(same_but_nan_payload, resumed.activations, reference.activations))
+
+
+# Small models whose zeros, -0.0 and NaN biases and non-finite values hit
+# every branch of the resumed pass: the one-channel exit, the channel cone,
+# every-tap channels, every channel over Inf or NaN, and the gate-mask exit.
+_model_weights = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-45, 3e38])
+_model_pixels = st.sampled_from([0.0, 0.0, -0.0, 1.0, 0.25, 1.5, -2.0])
+# +0.0, +0.0, -0.0, 0.25, -0.5, a quiet and a signalling NaN, as raw float32 bits
+_MODEL_BIASES = [0x00000000, 0x00000000, 0x80000000, 0x3E800000, 0xBF000000, 0x7FC00000,
+                 0x7F800001]
+# sign, exponent MSB (1.0 -> Inf, Inf -> 1.0), exponent LSB and quiet bit
+_model_bits = st.one_of(st.sampled_from([31, 30, 23, 22]), st.integers(0, 31))
+
+
+@st.composite
+def _faulty_models(draw):
+    height, width = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    c_in = 1
+    layers = []
+    for _ in range(draw(st.integers(2, 4))):
+        k, c_out = draw(st.sampled_from([1, 3])), draw(st.integers(1, 3))
+        n = c_out * c_in * k * k
+        weights = np.array(draw(st.lists(_model_weights, min_size=n, max_size=n)),
+                           dtype=np.float32).reshape(c_out, c_in, k, k)
+        biases = np.array(draw(st.lists(st.sampled_from(_MODEL_BIASES), min_size=c_out,
+                                        max_size=c_out)), dtype=np.uint32).view(np.float32)
+        layers.append(ConvLayer(weights, biases, draw(st.sampled_from(["relu", "relu1"]))))
+        c_in = c_out
+    model = DetectorModel(tuple(layers))
+    pixels = np.array(draw(st.lists(_model_pixels, min_size=height * width,
+                                    max_size=height * width)), dtype=np.float32)
+    for index, value in draw(st.lists(st.tuples(st.integers(0, pixels.size - 1),
+                                                st.sampled_from([math.inf, -math.inf, math.nan])),
+                                      max_size=2)):
+        pixels[index] = value
+    scene = Scene(pixels.reshape(height, width), ())
+    target = draw(st.sampled_from(list(FaultTarget)))
+    layer = draw(st.integers(0, len(layers) - 1))
+    shape = shape_catalog(model, height, width).shapes_for(target)[layer]
+    coords = tuple(draw(st.integers(0, extent - 1)) for extent in shape)
+    if target == FaultTarget.NEURON and draw(st.booleans()):
+        # a site that the oracle's golden pass made non-finite or largest
+        golden = dense_infer(model, scene).activations[layer]
+        sites = np.argwhere(~np.isfinite(golden)).tolist()
+        sites.append(np.unravel_index(np.argmax(np.where(np.isfinite(golden), golden, 0)),
+                                      golden.shape))
+        coords = tuple(int(c) for c in draw(st.sampled_from(sites)))
+    fault = FaultDescriptor(target, layer, coords, draw(_model_bits),
+                            draw(st.sampled_from(list(FaultMode))))
+    return model, scene, fault
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_models())
+def test_resumed_inference_matches_dense_reference_on_small_models(case):
+    model, scene, fault = case
+    golden = infer(model, scene)
+    _assert_same_trace(golden, dense_infer(model, scene))
+    _assert_same_trace(infer(model, scene, fault=fault, golden=golden),
+                       dense_infer(model, scene, fault))
 
 
 # Zero weights of either sign are what the sparse convolution skips; the
