@@ -29,6 +29,7 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,9 +97,28 @@ class Scene:
 
 @dataclass(frozen=True)
 class ConvLayer:
-    weights: np.ndarray  # (out, in, kh, kw) float32
+    weights: np.ndarray  # (out, in, kh, kw) float32, never written after the layer is built
     biases: np.ndarray  # (out,) float32
     activation: str  # "relu" | "relu1" (rectifier clipped at 1)
+
+    @cached_property
+    def taps(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """``taps[k]``: the ``(input channel, row, column)`` taps that output
+        channel k multiplies over finite input, in C order, the every-tap order.
+
+        A channel takes its non-zero weights, or every tap when its bias is
+        -0.0 or NaN. Skipping a +-0 weight over finite input is exact: adding
+        a +-0 product changes a sum only when the sum is -0.0 (to +0.0) or a
+        signalling NaN (quieted). Under round-to-nearest ``x + y`` is -0.0
+        only when both are -0.0, and arithmetic never yields a signalling
+        NaN, so only the bias can start a sum in either state. The lists are
+        derived once, on first use, which holds because a layer's weights and
+        biases are never written after it is built; a weight fault builds its
+        own corrupted layer, so a zero weight turned to 2.0 adds a tap.
+        """
+        every_tap = ((self.biases == 0) & np.signbit(self.biases)) | np.isnan(self.biases)
+        used = (self.weights != 0) | every_tap[:, None, None, None]
+        return tuple(tuple(map(tuple, np.argwhere(channel).tolist())) for channel in used)
 
 
 @dataclass(frozen=True)
@@ -316,48 +336,24 @@ def shape_catalog(model: DetectorModel, height: int = 64, width: int = 64) -> Sh
                           for target in (FaultTarget.NEURON, FaultTarget.WEIGHT)))
 
 
-def _accumulate(padded: np.ndarray, weights: np.ndarray, bias, taps, height: int,
-                width: int) -> np.ndarray:
-    """One output channel: ``bias`` plus ``weights[tap] * input`` over ``taps`` in order."""
-    acc = np.full((height, width), bias, dtype=F32)
-    # out of place: on one-element arrays numpy's in-place add keeps the
-    # second of two NaNs, not the first, and a fault on that NaN sees its sign
-    for ic, dy, dx in taps:
-        acc = acc + weights[ic, dy, dx] * padded[ic, dy:dy + height, dx:dx + width]
-    return acc
-
-
-def _used_taps(layer: ConvLayer, finite: bool) -> np.ndarray:
-    """Mask over ``layer.weights`` of the taps that ``_convolve`` multiplies
-    when its input is finite (``finite``) or may hold Inf or NaN."""
-    biases = layer.biases
-    every_tap = ((biases == 0) & np.signbit(biases)) | np.isnan(biases) | (not finite)
-    return (layer.weights != 0) | every_tap[:, None, None, None]
-
-
-def _convolve(x: np.ndarray, layer: ConvLayer, window=None, finite: bool = False) -> np.ndarray:
+def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
+              finite: bool = False) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
-    ``window``, a ``(row0, row1, col0, col1)`` half-open box, restricts the
-    output to those pixels. Every output element is accumulated on its own
+    Only the output ``channels`` given (every channel by default), in their
+    order, are computed, and only inside ``window``, a ``(row0, row1, col0,
+    col1)`` half-open box. Every output element is accumulated on its own
     over its taps in (input channel, row, column) order, so a part of the
     result is bit-identical to the same part of the full result, except
     which NaN a sum of two NaNs keeps (numpy's choice depends on position).
 
-    Taps whose weight is +-0 are skipped while the input the window reads
-    is all finite; ``finite`` says the caller knows ``x`` is, otherwise the
-    window is scanned. The tap lists come from the weights passed in, so a
-    corrupted weight counts. Adding a +-0 product changes a sum only when
-    the sum is -0.0 (to +0.0) or a signalling NaN (quieted). Under
-    round-to-nearest ``x + y`` is -0.0 only when both are -0.0, and
-    arithmetic never yields a signalling NaN, so only the bias can start a
-    sum in either state. A channel whose bias is -0.0 or NaN therefore
-    takes every tap, and so does every channel when the input holds Inf or
-    NaN, so that 0 * inf = nan propagates exactly.
+    Over finite input channel k takes ``layer.taps[k]``; ``finite`` says
+    the caller knows ``x`` is, otherwise the window is scanned. Over Inf or
+    NaN every channel takes every tap, so that 0 * inf = nan propagates.
     """
     c_in, height, width = x.shape
-    weights, biases = layer.weights, layer.biases
-    c_out, _, kh, kw = weights.shape
+    c_out, _, kh, kw = layer.weights.shape
+    channels = range(c_out) if channels is None else channels
     row0, row1, col0, col1 = (0, height, 0, width) if window is None else window
     out_h, out_w = row1 - row0, col1 - col0
     top, left = row0 - kh // 2, col0 - kw // 2
@@ -368,16 +364,18 @@ def _convolve(x: np.ndarray, layer: ConvLayer, window=None, finite: bool = False
         padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
         r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
         padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
-    used = _used_taps(layer, finite or bool(np.isfinite(padded).all()))
-    taps: list[list] = [[] for _ in range(c_out)]
-    # np.nonzero walks the mask in C order, the every-tap order
-    for k, ic, dy, dx in zip(*(i.tolist() for i in np.nonzero(used))):
-        taps[k].append((ic, dy, dx))
+    taps = layer.taps if finite or np.isfinite(padded).all() else (tuple(np.ndindex(c_in, kh, kw)),) * c_out
     # overflow to inf and 0*inf=nan are expected results of injected faults
-    out = np.empty((c_out, out_h, out_w), dtype=F32)
+    out = np.empty((len(channels), out_h, out_w), dtype=F32)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(c_out):
-            out[k] = _accumulate(padded, weights[k], biases[k], taps[k], out_h, out_w)
+        for row, k in enumerate(channels):
+            weights = layer.weights[k]
+            acc = np.full((out_h, out_w), layer.biases[k], dtype=F32)
+            # out of place: on one-element arrays numpy's in-place add keeps the
+            # second of two NaNs, not the first, and a fault on that NaN sees its sign
+            for ic, dy, dx in taps[k]:
+                acc = acc + weights[ic, dy, dx] * padded[ic, dy:dy + out_h, dx:dx + out_w]
+            out[row] = acc
     return out
 
 
@@ -389,10 +387,6 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _sigmoid32(v: np.float32) -> np.float32:
-    return F32(1.0) / (F32(1.0) + np.exp(-F32(v)))
-
-
 # Cell gate on the score map: sits far below any genuine response (the
 # weakest is ~0.175) yet above anything a denormal-level perturbation of an
 # exactly-zero score can produce.
@@ -401,6 +395,32 @@ SCORE_GATE = F32(0.0625)
 _CONFIDENCE_THRESHOLD = 0.5
 _NMS_THRESHOLD = 0.5
 _MAX_DETECTIONS = 1000
+# The confidence of a component of area 0-70: the float32 sigmoid
+# 1 / (1 + exp(-(0.25 * (area - 4)))) as numpy computes it with AVX2 or
+# AVX-512, each literal that float32 exactly; from area 71 on it rounds to
+# 1.0. A table, because numpy's float32 exp follows its SIMD dispatch, so
+# its last bit depends on the CPU: area 10 gives 0.8175745010375977 with
+# AVX2 and 0.8175744414329529 without.
+_CONFIDENCES = (
+    0.26894140243530273, 0.32082128524780273, 0.3775406777858734, 0.43782344460487366,
+    0.5, 0.562176525592804, 0.622459352016449, 0.6791787147521973,
+    0.7310585975646973, 0.7772998809814453, 0.8175745010375977, 0.8519527316093445,
+    0.8807970285415649, 0.9046505093574524, 0.9241418242454529, 0.9399133324623108,
+    0.9525741338729858, 0.9626730680465698, 0.970687747001648, 0.977022647857666,
+    0.9820137619972229, 0.9859364032745361, 0.9890130758285522, 0.9914224743843079,
+    0.9933071732521057, 0.9947799444198608, 0.9959298968315125, 0.9968273043632507,
+    0.9975274205207825, 0.9980732202529907, 0.998498797416687, 0.9988304972648621,
+    0.9990890026092529, 0.9992903470993042, 0.9994471669197083, 0.9995694756507874,
+    0.9996646642684937, 0.9997387528419495, 0.9997965693473816, 0.999841570854187,
+    0.9998766183853149, 0.9999039173126221, 0.9999251365661621, 0.9999417066574097,
+    0.9999545812606812, 0.9999645948410034, 0.9999724626541138, 0.9999785423278809,
+    0.9999833106994629, 0.999987006187439, 0.9999898672103882, 0.9999921321868896,
+    0.9999938011169434, 0.999995231628418, 0.9999963045120239, 0.9999971389770508,
+    0.9999977350234985, 0.9999982118606567, 0.9999985694885254, 0.999998927116394,
+    0.9999991655349731, 0.9999994039535522, 0.9999995231628418, 0.9999996423721313,
+    0.9999996423721313, 0.9999997615814209, 0.9999997615814209, 0.9999998807907104,
+    0.9999998807907104, 0.9999998807907104, 0.9999998807907104,
+)
 
 
 def _decode(scores: np.ndarray) -> list[Detection]:
@@ -408,10 +428,10 @@ def _decode(scores: np.ndarray) -> list[Detection]:
     for category in range(scores.shape[0]):
         occupied = scores[category] > SCORE_GATE  # NaN scores gate to unoccupied
         for area, top, left, bottom, right in _components(occupied):
-            conf = _sigmoid32(F32(0.25) * (F32(area) - F32(4.0)))
+            conf = _CONFIDENCES[area] if area < len(_CONFIDENCES) else 1.0
             if conf > _CONFIDENCE_THRESHOLD:
                 box = Box(float(left), float(top), float(right), float(bottom))
-                detections.append(Detection(box, category, float(conf)))
+                detections.append(Detection(box, category, conf))
     return nms(detections, _NMS_THRESHOLD, _MAX_DETECTIONS)
 
 
@@ -560,15 +580,16 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
 
     Otherwise the next layer's window is the bounding box of the differing
     pixels, dilated by its kernel radius and clipped to the scene, and its
-    channels are the cone of the differing ones: those whose tap list
-    reads a differing channel. When the input layer holds Inf or NaN, in
-    the faulty pass or in golden's, every channel is recomputed instead,
-    since a zero weight times Inf is NaN. Outside the cone a channel's tap
-    list reads only unchanged input, so its golden output stands bit for
-    bit. NaN/Inf is scanned over the part alone when golden's layer is
-    finite. Decode runs only when the last layer changed a score's side of
-    ``SCORE_GATE``, because decode reads nothing else. The trace holds
-    golden's activations with the changed layers in their place.
+    channels are the cone of the differing ones, computed from the model's
+    own layer: those whose ``layer.taps`` read a differing channel. When
+    the input layer holds Inf or NaN, in the faulty pass or in golden's,
+    every channel is recomputed instead, since a zero weight times Inf is
+    NaN. Outside the cone a channel's taps read only unchanged input, so
+    its golden output stands bit for bit. NaN/Inf is scanned over the part
+    alone when golden's layer is finite. Decode runs only when the last
+    layer changed a score's side of ``SCORE_GATE``, because decode reads
+    nothing else. The trace holds golden's activations with the changed
+    layers in their place.
     """
     if len(golden.activations) != len(model.layers):
         raise ValueError(f"golden trace has {len(golden.activations)} layers, "
@@ -615,11 +636,10 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
                   max(col0 - kw // 2, 0), min(col1 + kw // 2, scene.width))
         finite = layer_flags[index - 1] == _FINITE
         if finite and golden_finite:
-            computed = np.flatnonzero(_used_taps(layer, True)[:, changed].any(axis=(1, 2, 3))).tolist()
+            computed = [k for k, taps in enumerate(layer.taps) if any(ic in changed for ic, _, _ in taps)]
         else:
             computed = list(range(c_out))
-        cone = ConvLayer(layer.weights[computed], layer.biases[computed], layer.activation)
-        part = _activate(_convolve(x, cone, window=window, finite=finite), layer.activation)
+        part = _activate(_convolve(x, layer, computed, window, finite), layer.activation)
 
     gates = [scores[changed, row0:row1, col0:col1] > SCORE_GATE for scores in (x, golden.activations[-1])]
     detections = golden.detections if np.array_equal(*gates) else tuple(_decode(x))

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -89,6 +95,52 @@ def test_detections_match_ground_truth_boxes():
         assert iou(det.box, best.box) >= 0.5
         assert det.category == best.category
         assert det.confidence > 0.5
+
+
+def _exp_f32_dispatch():
+    """The SIMD target numpy's float32 exp runs on here, or None before numpy 2.0."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="^exp$", signature="float32").get("exp", {}).get("ff", {}).get("current")
+
+
+def test_confidence_table_is_the_float32_sigmoid():
+    # the table holds what numpy's AVX2 and AVX-512 float32 exp give, which agree
+    if _exp_f32_dispatch() not in ("X86_V3", "X86_V4"):
+        pytest.skip("numpy's float32 exp runs without AVX2 here")
+    one = np.float32(1.0)
+    for area in [*range(80), 4096]:
+        z = np.float32(0.25) * (np.float32(area) - np.float32(4.0))
+        table = detector._CONFIDENCES[area] if area < len(detector._CONFIDENCES) else 1.0
+        assert table == float(one / (one + np.exp(-z))), area
+    assert len(detector._CONFIDENCES) == 71
+
+
+_DECODE_STDIN = """
+import json, sys
+import numpy as np
+from odfault.detector import _decode
+scores = np.frombuffer(sys.stdin.buffer.read(), dtype=np.float32).reshape(3, 132, 72)
+print(json.dumps([d.confidence for d in _decode(scores)]))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 CPU features")
+def test_confidences_do_not_follow_numpy_cpu_dispatch():
+    # numpy's float32 exp without AVX2 gives area 10 another last bit than with it
+    scores = np.zeros((3, 132, 72), dtype=np.float32)
+    for row, area in enumerate(range(5, 71)):
+        scores[row % 3, 2 * row, :area] = 1.0  # one component a row, on 3 score maps
+    src = os.path.dirname(os.path.dirname(os.path.abspath(detector.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _DECODE_STDIN], input=scores.tobytes(),
+                           env=env, capture_output=True, check=True)
+    expected = [d.confidence for d in detector._decode(scores)]
+    assert len(expected) == 66
+    assert json.loads(child.stdout) == expected
 
 
 def test_shape_catalog_matches_forward_tensors():
@@ -408,9 +460,10 @@ def test_channel_cone_skips_channels_that_read_no_change(monkeypatch):
     fault = _weight_fault(1, (0, 0, 0, 0), 30)  # 64.0 -> ~2e-37: copy 0's low stair of category 0
     computed = []
 
-    def convolve(x, layer, **kwargs):
-        computed.append(layer.weights.shape[0])
-        return _convolve(x, layer, **kwargs)
+    def convolve(*args, **kwargs):
+        out = _convolve(*args, **kwargs)
+        computed.append(out.shape[0])  # the channels returned
+        return out
 
     monkeypatch.setattr(detector, "_convolve", convolve)
     resumed = infer(MODEL, scene, fault=fault, golden=golden)

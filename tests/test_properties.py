@@ -349,6 +349,7 @@ def test_resumed_inference_matches_dense_reference_on_small_models(case):
 # Zero weights of either sign are what the sparse convolution skips; the
 # rest are subnormal, ordinary or large enough to overflow a sum. A -0.0 or
 # NaN bias and a non-finite input are the cases that must take every tap.
+# A drawn subset of output channels, in any order, must give those rows.
 _tap_weights = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1e-45, -3e-39]),
                          st.floats(width=32, allow_nan=False, allow_infinity=False))
 _tap_specials = st.sampled_from([0.0, -0.0, 1e-45, -5e-39, math.inf, -math.inf, math.nan])
@@ -374,22 +375,23 @@ def _conv_cases(draw):
     for index, value in draw(st.lists(st.tuples(st.integers(0, x.size - 1), _tap_specials),
                                       max_size=3)):
         x[index] = value
+    channels = draw(st.lists(st.integers(0, c_out - 1), unique=True, max_size=c_out))  # any order
     row0, col0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
     window = (row0, draw(st.integers(row0 + 1, height)), col0, draw(st.integers(col0 + 1, width)))
-    return ConvLayer(weights, biases, "relu"), x.reshape(c_in, height, width), window
+    return ConvLayer(weights, biases, "relu"), x.reshape(c_in, height, width), channels, window
 
 
 @settings(max_examples=300, deadline=None)
 @given(_conv_cases())
 def test_sparse_convolution_matches_dense_conv(case):
-    layer, x, (row0, row1, col0, col1) = case
+    layer, x, channels, (row0, row1, col0, col1) = case
     dense = dense_conv(x, layer.weights, layer.biases)
     assert np.array_equal(_convolve(x, layer).view(np.uint32), dense.view(np.uint32))
     # Where a sum meets two NaNs, numpy's float32 add keeps the first in its
     # SIMD body and the second in the tail, so a window, whose arrays are
     # shorter, may keep the other NaN; it matches in every other bit.
-    part = _convolve(x, layer, window=(row0, row1, col0, col1)).view(np.uint32)
-    expected = dense[:, row0:row1, col0:col1]
+    part = _convolve(x, layer, channels, (row0, row1, col0, col1)).view(np.uint32)
+    expected = dense[channels, row0:row1, col0:col1]
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(part.view(np.float32)), nan)
     assert np.array_equal(part[~nan], expected.view(np.uint32)[~nan])
