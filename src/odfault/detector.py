@@ -28,6 +28,7 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,16 +115,63 @@ class ConvLayer:
         NaN, so only the bias can start a sum in either state. The lists are
         derived once, on first use, which holds because a layer's weights and
         biases are never written after it is built; a weight fault builds its
-        own corrupted layer, so a zero weight turned to 2.0 adds a tap.
+        own corrupted filter, whose taps ``_retap`` derives from these, so a
+        zero weight turned to 2.0 adds a tap.
         """
-        every_tap = ((self.biases == 0) & np.signbit(self.biases)) | np.isnan(self.biases)
-        used = (self.weights != 0) | every_tap[:, None, None, None]
+        used = (self.weights != 0) | _every_tap(self.biases)[:, None, None, None]
         return tuple(tuple(map(tuple, np.argwhere(channel).tolist())) for channel in used)
+
+
+def _every_tap(biases: np.ndarray) -> np.ndarray:
+    """Which channels take every tap: those whose bias is -0.0 or NaN."""
+    return ((biases == 0) & np.signbit(biases)) | np.isnan(biases)
+
+
+def _retap(taps: tuple, tap: tuple[int, int, int], used: bool) -> tuple:
+    """``taps`` with ``tap`` in its C-order place when ``used``, without it otherwise."""
+    kept = [t for t in taps if t != tap]
+    if used:
+        bisect.insort(kept, tap)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class DetectorModel:
     layers: tuple[ConvLayer, ...]
+
+    @cached_property
+    def twins(self) -> tuple[tuple[list[int], np.ndarray | None], ...]:
+        """Per layer ``(leaders, expand)``: over finite input, output channel
+        k equals channel ``leaders[expand[k]]`` bit for bit; ``expand`` is
+        None when every channel leads its own class.
+
+        Two channels are twins when their biases have equal bits and their
+        tap sequences (``ConvLayer.taps``) match tap by tap in weight bits,
+        position and the twin class of the input channel read. Twins over
+        bit-identical input run the same operations in the same order, so
+        they give the same bits. Over Inf or NaN every tap is multiplied,
+        and twins' zero weights sit at different input channels, so the
+        classes hold only over finite input. The reference model's three
+        redundant copies make 20 of its 41 channels twins. Derived once,
+        on first use, as the layers' taps are.
+        """
+        classes = list(range(self.layers[0].weights.shape[1]))  # the scene's channels
+        twins = []
+        for layer in self.layers:
+            weight_bits, bias_bits = layer.weights.view(np.uint32), layer.biases.view(np.uint32)
+            keys: dict[tuple, int] = {}
+            leaders: list[int] = []
+            out_classes = []
+            for k, taps in enumerate(layer.taps):
+                key = (int(bias_bits[k]),
+                       tuple((classes[ic], dy, dx, int(weight_bits[k, ic, dy, dx])) for ic, dy, dx in taps))
+                if key not in keys:
+                    keys[key] = len(leaders)
+                    leaders.append(k)
+                out_classes.append(keys[key])
+            classes = out_classes
+            twins.append((leaders, None if len(leaders) == len(classes) else np.array(classes)))
+        return tuple(twins)
 
 
 @dataclass(frozen=True)
@@ -337,7 +385,7 @@ def shape_catalog(model: DetectorModel, height: int = 64, width: int = 64) -> Sh
 
 
 def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
-              finite: bool = False) -> np.ndarray:
+              finite: bool = False, taps=None) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
     Only the output ``channels`` given (every channel by default), in their
@@ -347,9 +395,10 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
     result is bit-identical to the same part of the full result, except
     which NaN a sum of two NaNs keeps (numpy's choice depends on position).
 
-    Over finite input channel k takes ``layer.taps[k]``; ``finite`` says
-    the caller knows ``x`` is, otherwise the window is scanned. Over Inf or
-    NaN every channel takes every tap, so that 0 * inf = nan propagates.
+    Over finite input channel k takes ``taps[k]``, by default
+    ``layer.taps[k]``; ``finite`` says the caller knows ``x`` is, otherwise
+    the window is scanned. Over Inf or NaN every channel takes every tap,
+    so that 0 * inf = nan propagates.
     """
     c_in, height, width = x.shape
     c_out, _, kh, kw = layer.weights.shape
@@ -364,7 +413,10 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
         padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
         r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
         padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
-    taps = layer.taps if finite or np.isfinite(padded).all() else (tuple(np.ndindex(c_in, kh, kw)),) * c_out
+    if not (finite or np.isfinite(padded).all()):
+        taps = (tuple(np.ndindex(c_in, kh, kw)),) * c_out
+    elif taps is None:
+        taps = layer.taps
     # overflow to inf and 0*inf=nan are expected results of injected faults
     out = np.empty((len(channels), out_h, out_w), dtype=F32)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -380,10 +432,11 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation, written into ``z``: every caller passes a fresh array."""
     if kind == "relu":
-        return np.maximum(z, F32(0.0))
+        return np.maximum(z, F32(0.0), out=z)
     if kind == "relu1":
-        return np.minimum(np.maximum(z, F32(0.0)), F32(1.0))
+        return np.minimum(np.maximum(z, F32(0.0), out=z), F32(1.0), out=z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -506,10 +559,25 @@ def _nonfinite(x: np.ndarray) -> tuple[bool, bool]:
     return bool(np.isnan(x).any()), bool(np.isinf(x).any())
 
 
-def _finite_input(layer_flags, index: int) -> bool:
-    """Whether layer ``index`` reads a layer known to be finite; the scene's
-    pixels, the first layer's input, are left to ``_convolve`` to scan."""
-    return index > 0 and layer_flags[index - 1] == _FINITE
+def _finite_input(x: np.ndarray, layer_flags, index: int) -> bool:
+    """Whether ``x``, the input of layer ``index``, is finite: the flags of
+    the layer before it, or for the first layer a scan of the scene's pixels."""
+    return layer_flags[index - 1] == _FINITE if index else bool(np.isfinite(x).all())
+
+
+def _support(plane: np.ndarray, dy: int, dx: int):
+    """The ``(row0, row1, col0, col1)`` half-open box of the output pixels
+    whose tap at offset ``(dy, dx)`` reads a non-zero pixel of ``plane``,
+    clipped to the plane, or None when there is none."""
+    height, width = plane.shape
+    rows = np.flatnonzero(plane.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(plane[rows[0]:rows[-1] + 1].any(axis=0))
+    # output pixel (r, c) reads plane[r + dy, c + dx]
+    row0, row1 = max(int(rows[0]) - dy, 0), min(int(rows[-1]) + 1 - dy, height)
+    col0, col1 = max(int(cols[0]) - dx, 0), min(int(cols[-1]) + 1 - dx, width)
+    return (row0, row1, col0, col1) if row0 < row1 and col0 < col1 else None
 
 
 def infer(
@@ -538,8 +606,13 @@ def infer(
     x = scene.pixels[None, :, :].astype(F32, copy=False)
     layer_flags = []
     activations = []
-    for index, layer in enumerate(model.layers):
-        x = _activate(_convolve(x, layer, finite=_finite_input(layer_flags, index)), layer.activation)
+    for index, (layer, (leaders, expand)) in enumerate(zip(model.layers, model.twins)):
+        if _finite_input(x, layer_flags, index):  # each twin class once, copied to its twins
+            x = _activate(_convolve(x, layer, leaders, finite=True), layer.activation)
+            if expand is not None:
+                x = x[expand]
+        else:
+            x = _activate(_convolve(x, layer), layer.activation)
         layer_flags.append(_nonfinite(x))
         activations.append(x)  # never written after this point
     return InferenceTrace(tuple(_decode(x)), tuple(activations), tuple(layer_flags))
@@ -569,14 +642,21 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
 
     Each layer recomputes only a part of its output, some channels inside a
     window, and the rest of it is golden's. A weight fault changes only
-    output channel f of its layer, so its part is channel f over the whole
-    scene, from a one-filter layer holding a corrupted copy of filter f;
-    later layers read the model as it is. A neuron fault's part is the one
-    element it patches. Each part is compared with golden over raw bits,
-    except that a NaN in both counts as unchanged; when nothing differs at
-    the fault's layer the pass is golden's trace itself, and at a later
-    layer the rest of the pass is golden's, detections and NaN/Inf flags
-    included.
+    output channel f of its layer, so its part is channel f, from a
+    one-filter layer holding a corrupted copy of filter f; later layers read
+    the model as it is. When golden's input to the layer is finite, the
+    stored and the corrupted weight are both finite and f's bias is neither
+    -0.0 nor NaN, the corrupted tap adds a +-0 product, which changes no sum
+    (the ``ConvLayer.taps`` argument), wherever its input channel is zero:
+    the part is then the box of pixels whose tap reads a non-zero input,
+    and without one, or when the fault leaves the weight's bits as they
+    are, the pass is golden's trace itself, with no convolution. Otherwise
+    the part is channel f over the whole scene. A neuron fault's part is
+    the one element it patches. Each part is compared with golden over raw
+    bits, except that a NaN in both counts as unchanged; when nothing
+    differs at the fault's layer the pass is golden's trace itself, and at
+    a later layer the rest of the pass is golden's, detections and NaN/Inf
+    flags included.
 
     Otherwise the next layer's window is the bounding box of the differing
     pixels, dilated by its kernel radius and clipped to the scene, and its
@@ -599,13 +679,25 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
     if fault.target == FaultTarget.WEIGHT:
         x_in = (golden.activations[index - 1] if index
                 else scene.pixels[None, :, :].astype(F32, copy=False))
-        f, *tap = fault.tensor_coords
-        weights = layer.weights[f:f + 1].copy()
-        weights[(0, *tap)] = apply_fault(weights[(0, *tap)], fault.bit, fault.mode)
-        one_filter = ConvLayer(weights, layer.biases[f:f + 1], layer.activation)
-        part = _activate(_convolve(x_in, one_filter, finite=_finite_input(golden.layer_flags, index)),
-                         layer.activation)
+        f, c, dy, dx = fault.tensor_coords
+        stored = layer.weights[f, c, dy, dx]
+        corrupted = apply_fault(stored, fault.bit, fault.mode)
+        if corrupted.view(np.uint32) == stored.view(np.uint32):  # a stuck-at bit already in place
+            return golden
+        every_tap = bool(_every_tap(layer.biases)[f])
+        finite = _finite_input(x_in, golden.layer_flags, index)
         window = (0, scene.height, 0, scene.width)
+        if finite and not every_tap and np.isfinite(stored) and np.isfinite(corrupted):
+            _, _, kh, kw = layer.weights.shape
+            window = _support(x_in[c], dy - kh // 2, dx - kw // 2)
+            if window is None:
+                return golden
+        weights = layer.weights[f:f + 1].copy()
+        weights[0, c, dy, dx] = corrupted
+        taps = _retap(layer.taps[f], (c, dy, dx), every_tap or corrupted != 0)
+        one_filter = ConvLayer(weights, layer.biases[f:f + 1], layer.activation)
+        part = _activate(_convolve(x_in, one_filter, window=window, finite=finite, taps=(taps,)),
+                         layer.activation)
     else:
         f, row, col = fault.tensor_coords
         part = golden.activations[index][f:f + 1, row:row + 1, col:col + 1].copy()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -452,23 +453,122 @@ def test_benign_fault_returns_golden_itself():
         _check_against_dense(MODEL, scene, fault, golden)
 
 
+def _recorded_convolutions(monkeypatch):
+    """Patch ``_convolve`` to record the shape of every part it returns."""
+    shapes = []
+
+    def convolve(*args, **kwargs):
+        out = _convolve(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(detector, "_convolve", convolve)
+    return shapes
+
+
+def test_weight_faults_that_cannot_change_a_bit_skip_the_convolution(monkeypatch):
+    # L2's high stair of category 2 (channels 5, 11, 17) sits above every
+    # intensity, so it is zero in every scene and an L3 tap reading it adds
+    # +-0 to its sums whatever its weight; a stuck-at bit already in place
+    # leaves the weight's bits as they are
+    scene = generate_scene(SPEC, seed=0)
+    golden = infer(MODEL, scene)
+    assert not golden.activations[1][[5, 11, 17]].any()
+    faults = [_weight_fault(2, (2, 5, 0, 0), 30),  # -2.0 -> -0.0 over a zero channel
+              _weight_fault(2, (0, 11, 0, 0), 30),  # a zero weight turns 2.0 over a zero channel
+              _weight_fault(2, (5, 17, 0, 0), 31, FaultMode.STUCK_AT_1),
+              _weight_fault(1, (0, 0, 0, 0), 30, FaultMode.STUCK_AT_1),  # 64.0 has bit 30 set
+              _weight_fault(4, (1, 1, 2, 2), 30, FaultMode.STUCK_AT_0)]  # 0.4375 has bit 30 clear
+    shapes = _recorded_convolutions(monkeypatch)
+    for fault in faults:
+        assert infer(MODEL, scene, fault=fault, golden=golden) is golden, fault
+    assert shapes == []
+    monkeypatch.undo()
+    for fault in faults:
+        _check_against_dense(MODEL, scene, fault, golden)
+
+
+def _sparse_weight_model(stored_bits: int, bias_bits: int, corner: float):
+    """A unit layer, then a 3x3 filter whose centre tap holds ``stored_bits``,
+    over a scene that is zero outside rows 3-4 and columns 2-5 and pixel
+    (7, 7), which holds ``corner``."""
+    unit = ConvLayer(np.ones((1, 1, 1, 1), dtype=np.float32), np.zeros(1, dtype=np.float32), "relu")
+    weights = np.full((1, 1, 3, 3), 0.25, dtype=np.float32)
+    weights[0, 0, 1, 1] = np.array(stored_bits, dtype=np.uint32).view(np.float32)
+    biases = np.array([bias_bits], dtype=np.uint32).view(np.float32)
+    pixels = np.zeros((8, 8), dtype=np.float32)
+    pixels[3:5, 2:6] = 1.5
+    pixels[7, 7] = corner
+    return DetectorModel((unit, ConvLayer(weights, biases, "relu"))), Scene(pixels, ())
+
+
+@pytest.mark.parametrize("stored_bits, bias_bits, corner, bit, window", [
+    (0x00000000, 0x00000000, 0.0, 30, (3, 5, 2, 6)),  # 0 -> 2.0: only the support is recomputed
+    (0x3F000000, 0x00000000, 0.0, 31, (3, 5, 2, 6)),  # 0.5 -> -0.5
+    (0x3F000000, 0x00000000, 2.0, 31, (3, 8, 2, 8)),  # the support's bounding box
+    (0x7F000000, 0x00000000, 0.0, 23, None),  # 1.7e38 -> +Inf, and Inf * 0 = NaN off the support
+    (0x7F000001, 0x00000000, 0.0, 23, None),  # -> NaN
+    (0x00000000, 0x80000000, 0.0, 30, None),  # a -0.0 bias
+    (0x00000000, 0x7FC00000, 0.0, 30, None),  # a NaN bias
+    (0x7F800000, 0x00000000, 0.0, 30, None),  # a stored Inf -> 1.0
+    (0x3F000000, 0x00000000, math.inf, 31, None),  # an Inf input pixel
+])
+def test_weight_fault_recomputes_the_support_of_its_tap(monkeypatch, stored_bits, bias_bits, corner, bit,
+                                                        window):
+    # a finite weight fault over finite input and a bias other than -0.0 or
+    # NaN changes its filter only where its tap reads a non-zero pixel; any
+    # other fault recomputes the whole plane
+    model, scene = _sparse_weight_model(stored_bits, bias_bits, corner)
+    golden = infer(model, scene)
+    fault = _weight_fault(1, (0, 0, 1, 1), bit)
+    shapes = _recorded_convolutions(monkeypatch)
+    infer(model, scene, fault=fault, golden=golden)
+    monkeypatch.undo()
+    row0, row1, col0, col1 = window or (0, 8, 0, 8)
+    assert shapes[0] == (1, row1 - row0, col1 - col0)
+    reference = _check_against_dense(model, scene, fault, golden)
+    if stored_bits in (0x7F000000, 0x7F000001):
+        outside = np.ones((8, 8), dtype=bool)
+        outside[3:5, 2:6] = False
+        assert np.isnan(reference.activations[1][0][outside]).any()
+
+
+def test_golden_pass_convolves_each_twin_class_once(monkeypatch):
+    # the three redundant copies make 20 of the 41 channels twins of
+    # earlier ones; over an Inf pixel every channel is convolved
+    scene = generate_scene(SPEC, seed=0)
+    shapes = _recorded_convolutions(monkeypatch)
+    golden = infer(MODEL, scene)
+    assert [shape[0] for shape in shapes] == [2, 7, 4, 5, 3]
+    assert sum(len(MODEL.layers[index].taps[k])
+               for index, (leaders, _) in enumerate(MODEL.twins) for k in leaders) == 64
+    assert sum(map(len, (tap for layer in MODEL.layers for tap in layer.taps))) == 90
+    assert all(_same_bits(a, b) for a, b in
+               zip(golden.activations, dense_infer(MODEL, scene).activations))
+
+    pixels = scene.pixels.copy()
+    pixels[20, 30] = np.inf
+    storm = Scene(pixels, scene.objects)
+    del shapes[:]
+    traced = infer(MODEL, storm)
+    assert sum(shape[0] for shape in shapes) == 41
+    monkeypatch.undo()
+    reference = dense_infer(MODEL, storm)
+    assert traced.layer_flags == reference.layer_flags and reference.nan_seen
+    assert _trace_key(traced) == _trace_key(reference)
+    assert all(map(same_but_nan_payload, traced.activations, reference.activations))
+
+
 def test_channel_cone_skips_channels_that_read_no_change(monkeypatch):
     # a weight fault in one L2 stair changes that stair alone; each later
     # layer recomputes only the channel that reads the changed one
     scene = generate_scene(SPEC, seed=0)
     golden = infer(MODEL, scene)
     fault = _weight_fault(1, (0, 0, 0, 0), 30)  # 64.0 -> ~2e-37: copy 0's low stair of category 0
-    computed = []
-
-    def convolve(*args, **kwargs):
-        out = _convolve(*args, **kwargs)
-        computed.append(out.shape[0])  # the channels returned
-        return out
-
-    monkeypatch.setattr(detector, "_convolve", convolve)
+    shapes = _recorded_convolutions(monkeypatch)
     resumed = infer(MODEL, scene, fault=fault, golden=golden)
     monkeypatch.undo()
-    assert len(computed) >= 2 and set(computed) == {1}
+    assert len(shapes) >= 2 and {channels for channels, _, _ in shapes} == {1}
     changed = [c for c, (a, b) in enumerate(zip(resumed.activations[1], golden.activations[1]))
                if not _same_bits(a, b)]
     assert changed == [0]

@@ -3,19 +3,27 @@
 Small fixed-seed runs of each runner must reproduce the sha256 digests in
 ``golden_outputs.json`` file by file. A change meant to alter outputs
 re-records them with ``PYTHONPATH=src python tests/test_golden_outputs.py``
-and says so; any other digest change is a regression.
+and says so; any other digest change is a regression. On x86-64 the same
+digests must also come out of a child interpreter whose numpy runs with
+every SIMD feature beyond its baseline disabled.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
+import platform
 import random
+import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
 
+import odfault
 from odfault.campaign import (
     CampaignConfig,
     ingest_and_score,
@@ -102,18 +110,54 @@ def _digests(name, tmp_dir: pathlib.Path) -> dict[str, str]:
             for path in sorted(out.iterdir())}
 
 
+def _all_digests() -> dict[str, dict[str, str]]:
+    recorded = {}
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as scratch:
+            recorded[name] = _digests(name, pathlib.Path(scratch))
+    return recorded
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_recorded_digests(tmp_path, name):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert _digests(name, tmp_path) == golden[name]
 
 
-if __name__ == "__main__":
-    import tempfile
+def _simd_beyond_baseline() -> list[str]:
+    """The SIMD features beyond numpy's baseline that numpy found on this CPU."""
+    if int(np.__version__.split(".")[0]) >= 2:
+        from numpy._core import _multiarray_umath as umath
+    else:
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
 
-    recorded = {}
-    for run_name in sorted(RUNS):
-        with tempfile.TemporaryDirectory() as scratch:
-            recorded[run_name] = _digests(run_name, pathlib.Path(scratch))
+
+_DIGESTS_STDOUT = """
+import json
+import test_golden_outputs as golden
+print(json.dumps({"simd": golden._simd_beyond_baseline(), "digests": golden._all_digests()}))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 CPU features")
+def test_outputs_do_not_follow_numpy_cpu_dispatch():
+    # numpy picks a SIMD kernel per CPU for each ufunc; a float32 reduction or
+    # transcendental that follows it would make the bytes depend on the host
+    features = _simd_beyond_baseline()
+    if not features:
+        pytest.skip("numpy found no SIMD feature beyond its baseline here")
+    paths = [pathlib.Path(odfault.__file__).parents[1], pathlib.Path(__file__).parent]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+               PYTHONPATH=os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _DIGESTS_STDOUT], env=env, capture_output=True,
+                           text=True, check=True)
+    result = json.loads(child.stdout)
+    assert result["simd"] == []
+    assert result["digests"] == json.loads(GOLDEN_PATH.read_text())
+
+
+if __name__ == "__main__":
+    recorded = _all_digests()
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {sum(map(len, recorded.values()))} digests in {GOLDEN_PATH}", file=sys.stderr)
