@@ -28,7 +28,6 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,8 +114,7 @@ class ConvLayer:
         NaN, so only the bias can start a sum in either state. The lists are
         derived once, on first use, which holds because a layer's weights and
         biases are never written after it is built; a weight fault builds its
-        own corrupted filter, whose taps ``_retap`` derives from these, so a
-        zero weight turned to 2.0 adds a tap.
+        own corrupted layer, so a zero weight turned to 2.0 adds a tap.
         """
         used = (self.weights != 0) | _every_tap(self.biases)[:, None, None, None]
         return tuple(tuple(map(tuple, np.argwhere(channel).tolist())) for channel in used)
@@ -125,14 +123,6 @@ class ConvLayer:
 def _every_tap(biases: np.ndarray) -> np.ndarray:
     """Which channels take every tap: those whose bias is -0.0 or NaN."""
     return ((biases == 0) & np.signbit(biases)) | np.isnan(biases)
-
-
-def _retap(taps: tuple, tap: tuple[int, int, int], used: bool) -> tuple:
-    """``taps`` with ``tap`` in its C-order place when ``used``, without it otherwise."""
-    kept = [t for t in taps if t != tap]
-    if used:
-        bisect.insort(kept, tap)
-    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -385,7 +375,7 @@ def shape_catalog(model: DetectorModel, height: int = 64, width: int = 64) -> Sh
 
 
 def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
-              finite: bool = False, taps=None) -> np.ndarray:
+              finite: bool = False) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
     Only the output ``channels`` given (every channel by default), in their
@@ -395,10 +385,9 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
     result is bit-identical to the same part of the full result, except
     which NaN a sum of two NaNs keeps (numpy's choice depends on position).
 
-    Over finite input channel k takes ``taps[k]``, by default
-    ``layer.taps[k]``; ``finite`` says the caller knows ``x`` is, otherwise
-    the window is scanned. Over Inf or NaN every channel takes every tap,
-    so that 0 * inf = nan propagates.
+    Over finite input channel k takes ``layer.taps[k]``; ``finite`` says
+    the caller knows ``x`` is, otherwise the window is scanned. Over Inf or
+    NaN every channel takes every tap, so that 0 * inf = nan propagates.
     """
     c_in, height, width = x.shape
     c_out, _, kh, kw = layer.weights.shape
@@ -413,10 +402,7 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
         padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
         r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
         padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
-    if not (finite or np.isfinite(padded).all()):
-        taps = (tuple(np.ndindex(c_in, kh, kw)),) * c_out
-    elif taps is None:
-        taps = layer.taps
+    taps = layer.taps if finite or np.isfinite(padded).all() else (tuple(np.ndindex(c_in, kh, kw)),) * c_out
     # overflow to inf and 0*inf=nan are expected results of injected faults
     out = np.empty((len(channels), out_h, out_w), dtype=F32)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -565,21 +551,6 @@ def _finite_input(x: np.ndarray, layer_flags, index: int) -> bool:
     return layer_flags[index - 1] == _FINITE if index else bool(np.isfinite(x).all())
 
 
-def _support(plane: np.ndarray, dy: int, dx: int):
-    """The ``(row0, row1, col0, col1)`` half-open box of the output pixels
-    whose tap at offset ``(dy, dx)`` reads a non-zero pixel of ``plane``,
-    clipped to the plane, or None when there is none."""
-    height, width = plane.shape
-    rows = np.flatnonzero(plane.any(axis=1))
-    if not rows.size:
-        return None
-    cols = np.flatnonzero(plane[rows[0]:rows[-1] + 1].any(axis=0))
-    # output pixel (r, c) reads plane[r + dy, c + dx]
-    row0, row1 = max(int(rows[0]) - dy, 0), min(int(rows[-1]) + 1 - dy, height)
-    col0, col1 = max(int(cols[0]) - dx, 0), min(int(cols[-1]) + 1 - dx, width)
-    return (row0, row1, col0, col1) if row0 < row1 and col0 < col1 else None
-
-
 def infer(
     model: DetectorModel,
     scene: Scene,
@@ -607,12 +578,12 @@ def infer(
     layer_flags = []
     activations = []
     for index, (layer, (leaders, expand)) in enumerate(zip(model.layers, model.twins)):
-        if _finite_input(x, layer_flags, index):  # each twin class once, copied to its twins
-            x = _activate(_convolve(x, layer, leaders, finite=True), layer.activation)
-            if expand is not None:
-                x = x[expand]
-        else:
-            x = _activate(_convolve(x, layer), layer.activation)
+        finite = _finite_input(x, layer_flags, index)
+        if not finite:  # twins hold over finite input only
+            leaders, expand = None, None
+        x = _activate(_convolve(x, layer, leaders, finite=finite), layer.activation)
+        if expand is not None:  # each twin class was convolved once; copy it to its twins
+            x = x[expand]
         layer_flags.append(_nonfinite(x))
         activations.append(x)  # never written after this point
     return InferenceTrace(tuple(_decode(x)), tuple(activations), tuple(layer_flags))
@@ -644,19 +615,19 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
     window, and the rest of it is golden's. A weight fault changes only
     output channel f of its layer, so its part is channel f, from a
     one-filter layer holding a corrupted copy of filter f; later layers read
-    the model as it is. When golden's input to the layer is finite, the
-    stored and the corrupted weight are both finite and f's bias is neither
-    -0.0 nor NaN, the corrupted tap adds a +-0 product, which changes no sum
-    (the ``ConvLayer.taps`` argument), wherever its input channel is zero:
-    the part is then the box of pixels whose tap reads a non-zero input,
-    and without one, or when the fault leaves the weight's bits as they
-    are, the pass is golden's trace itself, with no convolution. Otherwise
-    the part is channel f over the whole scene. A neuron fault's part is
-    the one element it patches. Each part is compared with golden over raw
-    bits, except that a NaN in both counts as unchanged; when nothing
-    differs at the fault's layer the pass is golden's trace itself, and at
-    a later layer the rest of the pass is golden's, detections and NaN/Inf
-    flags included.
+    the model as it is. The pass is golden's trace itself, with no
+    convolution, when the fault leaves the weight's bits as they are, or
+    when the tap's input channel is zero everywhere, the stored and the
+    corrupted weight are both finite and f's bias is neither -0.0 nor NaN:
+    the tap then adds a +-0 product before and after the fault, which
+    changes no sum, since no sum is -0.0 or a signalling NaN (the
+    ``ConvLayer.taps`` argument), whatever the other input channels hold.
+    Otherwise the part is channel f over the whole scene. A neuron fault's
+    part is the one element it patches. Each part is compared with golden
+    over raw bits, except that a NaN in both counts as unchanged; when
+    nothing differs at the fault's layer the pass is golden's trace itself,
+    and at a later layer the rest of the pass is golden's, detections and
+    NaN/Inf flags included.
 
     Otherwise the next layer's window is the bounding box of the differing
     pixels, dilated by its kernel radius and clipped to the scene, and its
@@ -684,20 +655,15 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         corrupted = apply_fault(stored, fault.bit, fault.mode)
         if corrupted.view(np.uint32) == stored.view(np.uint32):  # a stuck-at bit already in place
             return golden
-        every_tap = bool(_every_tap(layer.biases)[f])
-        finite = _finite_input(x_in, golden.layer_flags, index)
-        window = (0, scene.height, 0, scene.width)
-        if finite and not every_tap and np.isfinite(stored) and np.isfinite(corrupted):
-            _, _, kh, kw = layer.weights.shape
-            window = _support(x_in[c], dy - kh // 2, dx - kw // 2)
-            if window is None:
-                return golden
+        if (not x_in[c].any() and not _every_tap(layer.biases)[f]
+                and np.isfinite(stored) and np.isfinite(corrupted)):
+            return golden
         weights = layer.weights[f:f + 1].copy()
         weights[0, c, dy, dx] = corrupted
-        taps = _retap(layer.taps[f], (c, dy, dx), every_tap or corrupted != 0)
         one_filter = ConvLayer(weights, layer.biases[f:f + 1], layer.activation)
-        part = _activate(_convolve(x_in, one_filter, window=window, finite=finite, taps=(taps,)),
+        part = _activate(_convolve(x_in, one_filter, finite=_finite_input(x_in, golden.layer_flags, index)),
                          layer.activation)
+        window = (0, scene.height, 0, scene.width)
     else:
         f, row, col = fault.tensor_coords
         part = golden.activations[index][f:f + 1, row:row + 1, col:col + 1].copy()

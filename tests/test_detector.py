@@ -488,49 +488,48 @@ def test_weight_faults_that_cannot_change_a_bit_skip_the_convolution(monkeypatch
         _check_against_dense(MODEL, scene, fault, golden)
 
 
-def _sparse_weight_model(stored_bits: int, bias_bits: int, corner: float):
-    """A unit layer, then a 3x3 filter whose centre tap holds ``stored_bits``,
-    over a scene that is zero outside rows 3-4 and columns 2-5 and pixel
-    (7, 7), which holds ``corner``."""
-    unit = ConvLayer(np.ones((1, 1, 1, 1), dtype=np.float32), np.zeros(1, dtype=np.float32), "relu")
-    weights = np.full((1, 1, 3, 3), 0.25, dtype=np.float32)
-    weights[0, 0, 1, 1] = np.array(stored_bits, dtype=np.uint32).view(np.float32)
+def _zero_channel_model(other_bits: int, stored_bits: int, bias_bits: int, pixel: float):
+    """A layer whose channel 0 is the scene and channel 1 its negation,
+    which relu makes zero, then a 1x1 filter holding ``other_bits`` on
+    channel 0 and ``stored_bits`` on channel 1, over an 8x8 scene of zeros
+    and 1.5s whose pixel (7, 7) holds ``pixel``."""
+    front = ConvLayer(np.array([1.0, -1.0], dtype=np.float32).reshape(2, 1, 1, 1),
+                      np.zeros(2, dtype=np.float32), "relu")
+    weights = np.array([other_bits, stored_bits], dtype=np.uint32).view(np.float32).reshape(1, 2, 1, 1)
     biases = np.array([bias_bits], dtype=np.uint32).view(np.float32)
     pixels = np.zeros((8, 8), dtype=np.float32)
     pixels[3:5, 2:6] = 1.5
-    pixels[7, 7] = corner
-    return DetectorModel((unit, ConvLayer(weights, biases, "relu"))), Scene(pixels, ())
+    pixels[7, 7] = pixel
+    return DetectorModel((front, ConvLayer(weights, biases, "relu"))), Scene(pixels, ())
 
 
-@pytest.mark.parametrize("stored_bits, bias_bits, corner, bit, window", [
-    (0x00000000, 0x00000000, 0.0, 30, (3, 5, 2, 6)),  # 0 -> 2.0: only the support is recomputed
-    (0x3F000000, 0x00000000, 0.0, 31, (3, 5, 2, 6)),  # 0.5 -> -0.5
-    (0x3F000000, 0x00000000, 2.0, 31, (3, 8, 2, 8)),  # the support's bounding box
-    (0x7F000000, 0x00000000, 0.0, 23, None),  # 1.7e38 -> +Inf, and Inf * 0 = NaN off the support
-    (0x7F000001, 0x00000000, 0.0, 23, None),  # -> NaN
-    (0x00000000, 0x80000000, 0.0, 30, None),  # a -0.0 bias
-    (0x00000000, 0x7FC00000, 0.0, 30, None),  # a NaN bias
-    (0x7F800000, 0x00000000, 0.0, 30, None),  # a stored Inf -> 1.0
-    (0x3F000000, 0x00000000, math.inf, 31, None),  # an Inf input pixel
+@pytest.mark.parametrize("other_bits, stored_bits, bias_bits, pixel, bit, skipped", [
+    (0x3F800000, 0x00000000, 0x00000000, 0.0, 30, True),  # 0 -> 2.0 over the zero channel
+    (0x3F800000, 0x3F000000, 0x00000000, 0.0, 31, True),  # 0.5 -> -0.5
+    (0x3F800000, 0x3F000000, 0x00000000, math.inf, 31, True),  # Inf in the other channel
+    (0x3F800000, 0x7F000000, 0x00000000, 0.0, 23, False),  # 1.7e38 -> +Inf, and Inf * 0 = NaN
+    (0x3F800000, 0x7F000001, 0x00000000, 0.0, 23, False),  # -> NaN
+    (0x3F800000, 0x7F800000, 0x00000000, 0.0, 30, False),  # a stored Inf -> 1.0
+    # -0.0 + -1.0 * 0.0 + 0.5 * 0.0 is +0.0, and -0.0 with -0.5: relu maps both to +0.0
+    (0xBF800000, 0x3F000000, 0x80000000, 0.0, 31, False),
+    (0x3F800000, 0x00000000, 0x7FC00000, 0.0, 30, False),  # a NaN bias
 ])
-def test_weight_fault_recomputes_the_support_of_its_tap(monkeypatch, stored_bits, bias_bits, corner, bit,
-                                                        window):
-    # a finite weight fault over finite input and a bias other than -0.0 or
-    # NaN changes its filter only where its tap reads a non-zero pixel; any
-    # other fault recomputes the whole plane
-    model, scene = _sparse_weight_model(stored_bits, bias_bits, corner)
+def test_weight_fault_over_a_zero_channel_skips_only_an_exact_no_op(monkeypatch, other_bits, stored_bits,
+                                                                     bias_bits, pixel, bit, skipped):
+    # a weight fault whose tap reads an all-zero channel returns golden with
+    # no convolution when both weights are finite and the bias is neither
+    # -0.0 nor NaN, whatever the other channels hold; otherwise the whole
+    # plane is recomputed
+    model, scene = _zero_channel_model(other_bits, stored_bits, bias_bits, pixel)
     golden = infer(model, scene)
-    fault = _weight_fault(1, (0, 0, 1, 1), bit)
+    assert not golden.activations[0][1].any()
+    fault = _weight_fault(1, (0, 1, 0, 0), bit)
     shapes = _recorded_convolutions(monkeypatch)
-    infer(model, scene, fault=fault, golden=golden)
+    resumed = infer(model, scene, fault=fault, golden=golden)
     monkeypatch.undo()
-    row0, row1, col0, col1 = window or (0, 8, 0, 8)
-    assert shapes[0] == (1, row1 - row0, col1 - col0)
-    reference = _check_against_dense(model, scene, fault, golden)
-    if stored_bits in (0x7F000000, 0x7F000001):
-        outside = np.ones((8, 8), dtype=bool)
-        outside[3:5, 2:6] = False
-        assert np.isnan(reference.activations[1][0][outside]).any()
+    assert shapes == ([] if skipped else [(1, 8, 8)])
+    assert resumed is golden or not skipped
+    _check_against_dense(model, scene, fault, golden)
 
 
 def test_golden_pass_convolves_each_twin_class_once(monkeypatch):

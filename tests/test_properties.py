@@ -290,8 +290,9 @@ def _assert_same_trace(resumed, reference):
 # every branch of the resumed pass: the one-channel exit, the channel cone,
 # every-tap channels, every channel over Inf or NaN, and the gate-mask exit.
 # Copied filters over permuted copies of input channels make twin channels,
-# and scenes that are zero outside a box make a weight fault's support
-# window and its no-convolution exit.
+# and scenes that are zero outside a box, Inf and NaN pixels drawn into them
+# as into any scene, make all-zero channels: half the weight faults read one,
+# which is the resumed pass's no-convolution exit.
 _model_weights = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-45, 3e38])
 _model_pixels = st.sampled_from([0.0, 0.0, -0.0, 1.0, 0.25, 1.5, -2.0])
 # +0.0, +0.0, -0.0, 0.25, -0.5, a quiet and a signalling NaN, as raw float32 bits
@@ -313,27 +314,26 @@ def _faulty_models(draw):
                            dtype=np.float32).reshape(c_out, c_in, k, k)
         biases = np.array(draw(st.lists(st.sampled_from(_MODEL_BIASES), min_size=c_out,
                                         max_size=c_out)), dtype=np.uint32).view(np.float32)
-        for k in range(1, c_out):
+        for later in range(1, c_out):
             if draw(st.booleans()):  # a copy of an earlier filter, reading permuted input channels
-                j = draw(st.integers(0, k - 1))
-                weights[k] = weights[j][list(draw(st.permutations(range(c_in))))]
-                biases[k] = biases[j]
+                j = draw(st.integers(0, later - 1))
+                weights[later] = weights[j][list(draw(st.permutations(range(c_in))))]
+                biases[later] = biases[j]
         layers.append(ConvLayer(weights, biases, draw(st.sampled_from(["relu", "relu1"]))))
         c_in = c_out
     model = DetectorModel(tuple(layers))
     pixels = np.array(draw(st.lists(_model_pixels, min_size=height * width,
                                     max_size=height * width)), dtype=np.float32).reshape(height, width)
-    if draw(st.booleans()):  # finite and zero outside a box: weight faults read sparse channels
+    if draw(st.booleans()):  # zero outside a box: weight faults read sparse channels
         row0, col0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
         row1, col1 = draw(st.integers(row0, height)), draw(st.integers(col0, width))
         boxed = np.zeros_like(pixels)
         boxed[row0:row1, col0:col1] = pixels[row0:row1, col0:col1]
         pixels = boxed
-    else:
-        for index, value in draw(st.lists(st.tuples(st.integers(0, pixels.size - 1),
-                                                    st.sampled_from([math.inf, -math.inf, math.nan])),
-                                          max_size=2)):
-            pixels.flat[index] = value
+    for index, value in draw(st.lists(st.tuples(st.integers(0, pixels.size - 1),
+                                                st.sampled_from([math.inf, -math.inf, math.nan])),
+                                      max_size=2)):
+        pixels.flat[index] = value
     scene = Scene(pixels, ())
     target = draw(st.sampled_from(list(FaultTarget)))
     layer = draw(st.integers(0, len(layers) - 1))
@@ -346,6 +346,12 @@ def _faulty_models(draw):
         sites.append(np.unravel_index(np.argmax(np.where(np.isfinite(golden), golden, 0)),
                                       golden.shape))
         coords = tuple(int(c) for c in draw(st.sampled_from(sites)))
+    if target == FaultTarget.WEIGHT and draw(st.booleans()):
+        # a tap that reads a channel the oracle's golden pass left all zero
+        x_in = dense_infer(model, scene).activations[layer - 1] if layer else pixels[None]
+        zero = [c for c in range(x_in.shape[0]) if not x_in[c].any()]
+        if zero:
+            coords = (coords[0], draw(st.sampled_from(zero)), *coords[2:])
     fault = FaultDescriptor(target, layer, coords, draw(_model_bits),
                             draw(st.sampled_from(list(FaultMode))))
     return model, scene, fault
