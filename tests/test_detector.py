@@ -529,7 +529,9 @@ def test_weight_fault_over_a_zero_channel_skips_only_an_exact_no_op(monkeypatch,
     monkeypatch.undo()
     assert shapes == ([] if skipped else [(1, 8, 8)])
     assert resumed is golden or not skipped
-    _check_against_dense(model, scene, fault, golden)
+    reference = _check_against_dense(model, scene, fault, golden)
+    if stored_bits in (0x7F000000, 0x7F000001):  # Inf or NaN times the zero channel is NaN
+        assert np.isnan(reference.activations[1]).all()
 
 
 def test_golden_pass_convolves_each_twin_class_once(monkeypatch):
