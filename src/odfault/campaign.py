@@ -201,7 +201,11 @@ def _json(kind):
         if isinstance(kind, list):
             return tuple(_json(kind[0])(item) for item in _json(list)(value))
         if kind is float and type(value) is int:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise TypeError("expected a JSON number within float range, "
+                                "got a larger integer") from None
         if type(value) is not kind:
             raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
         return value
@@ -309,23 +313,26 @@ class _Scored:
     fp_types: dict | None = None
 
 
-def _score(cfg: CampaignConfig, counts_orig, raster_orig, dims, nan: bool, inf: bool, *,
+def _score(cfg: CampaignConfig, counts_orig, dims, nan: bool, inf: bool, *,
            key, injection_id=None, fault=None, image_id, gts, orig, corr) -> _Scored:
     """Image-wise verdict and severity of one corrupted image against its original,
-    whose counts and raster the caller computed once.
+    whose counts the caller computed once.
 
     A corrupted list equal to the original by value has the original's counts
-    and raster: value-equal lists differ at most in the sign of a zero or in
-    int versus float, and the assignment and the rasterizer only compare and
-    do arithmetic on values, which floats and ints agree on below 2**53
-    (record and detector boxes hold floats and image sides).
+    and raster, so only a changed image is assigned and rasterized: value-equal
+    lists differ at most in the sign of a zero or in int versus float, and the
+    assignment and the rasterizer only compare and do arithmetic on values,
+    which floats and ints agree on below 2**53 (record and detector boxes hold
+    floats and image sides).
     """
-    unchanged = corr == orig
-    counts_corr = counts_orig if unchanged else _counts(cfg, corr, gts)
-    raster_corr = raster_orig if unchanged else rasterize([d.box for d in corr], *dims)
+    if corr == orig:
+        counts_corr, rasters = counts_orig, None
+    else:
+        counts_corr = _counts(cfg, corr, gts)
+        rasters = (rasterize([d.box for d in orig], *dims), rasterize([d.box for d in corr], *dims))
     evaluation = ImageEval(image_id=image_id, counts_orig=counts_orig,
                            counts_corr=counts_corr, inf_flag=inf, nan_flag=nan)
-    report = severity(evaluation, orig, corr, dims, rasters=(raster_orig, raster_corr))
+    report = severity(evaluation, orig, corr, dims, rasters=rasters)
     return _Scored(key, injection_id, fault, image_id, report, gts, orig, corr)
 
 
@@ -342,7 +349,6 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     gts = scene.ground_truth()
     orig = list(golden.detections)
     counts_orig = _counts(cfg, orig, gts)
-    raster_orig = rasterize([d.box for d in orig], scene.width, scene.height)
 
     injections = []
     for index in range(scene_idx, cfg.n_injections, _scene_pool(cfg)):
@@ -351,8 +357,8 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
             seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
         trace = infer(model, scene, fault=fault, golden=golden)
         corr = list(trace.detections)
-        scored = _score(cfg, counts_orig, raster_orig, (scene.width, scene.height),
-                        trace.nan_seen, trace.inf_seen, key=index, injection_id=index, fault=fault,
+        scored = _score(cfg, counts_orig, (scene.width, scene.height), trace.nan_seen,
+                        trace.inf_seen, key=index, injection_id=index, fault=fault,
                         image_id=scene_idx, gts=gts, orig=orig, corr=corr)
         if scored.report.verdict == "sdc":
             scored = replace(scored, fp_types=fp_type_breakdown(corr, gts, cfg.iou_threshold))
@@ -601,8 +607,11 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
 def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict:
     """Score externally produced detection record pairs."""
     _make_out_dir(out_dir)
-    orig_records = read_records(orig_path)
-    corr_records = read_records(corr_path)
+    # the corrupted file mostly repeats lines of the original: those are parsed
+    # once, and their records are the very same objects in both lists
+    known: dict = {}
+    orig_records = read_records(orig_path, known)
+    corr_records = read_records(corr_path, known)
 
     orig_by_id = {r.image_id: r for r in orig_records}
     corr_by_id = {r.image_id: r for r in corr_records}
@@ -624,8 +633,7 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
             raise DataError(f"image {image_id!r}: dimensions differ between files")
         gts = list(orig.ground_truth)
         orig_dets = list(orig.detections)
-        scored.append(_score(cfg, _counts(cfg, orig_dets, gts),
-                             rasterize([d.box for d in orig_dets], *dims), dims,
+        scored.append(_score(cfg, _counts(cfg, orig_dets, gts), dims,
                              corr.nan_flag, corr.inf_flag, key=image_id, image_id=image_id,
                              gts=gts, orig=orig_dets, corr=list(corr.detections)))
 

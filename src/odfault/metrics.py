@@ -117,6 +117,10 @@ def severity(
     all detections of each condition (TPs and FPs alike); sizes are box
     areas in squared pixels. ``rasters`` is ``(orig, corr)``, the two
     lists' ``rasterize`` masks when the caller already has them.
+
+    Lists equal by value rasterize to equal masks, since ``rasterize`` only
+    compares and rounds coordinates, so both blobs are empty and nothing is
+    rasterized for them.
     """
     width, height = image_dims
     if width <= 0 or height <= 0:
@@ -127,15 +131,17 @@ def severity(
     delta_fp = e.counts_corr[1] - e.counts_orig[1]
     delta_fn_n = (tp_orig - tp_corr) / tp_orig if tp_orig > 0 else None
 
-    if rasters is None:
-        rasters = (rasterize([d.box for d in dets_orig], width, height),
-                   rasterize([d.box for d in dets_corr], width, height))
-    raster_orig, raster_corr = rasters
-    fp_blob = mask_diff(raster_corr, raster_orig)
-    fn_blob = mask_diff(raster_orig, raster_corr)
-    orig_area = mask_popcount(raster_orig)
-    a_fp_occ = mask_popcount(fp_blob) / (width * height)
-    a_fn_vac = mask_popcount(fn_blob) / orig_area if orig_area else 0.0
+    if dets_corr == dets_orig:
+        a_fp_occ = a_fn_vac = 0.0
+    else:
+        if rasters is None:
+            rasters = (rasterize([d.box for d in dets_orig], width, height),
+                       rasterize([d.box for d in dets_corr], width, height))
+        raster_orig, raster_corr = rasters
+        orig_area = mask_popcount(raster_orig)
+        a_fp_occ = mask_popcount(mask_diff(raster_corr, raster_orig)) / (width * height)
+        a_fn_vac = (mask_popcount(mask_diff(raster_orig, raster_corr)) / orig_area
+                    if orig_area else 0.0)
 
     return SdcReport(
         verdict=classify_image(e),

@@ -172,8 +172,17 @@ def _parse_record(obj: dict, where: str) -> DetectionRecord:
     )
 
 
-def read_records(path) -> list[DetectionRecord]:
-    """Parse an ndjson record file; errors carry the offending line number."""
+def read_records(path, known: dict | None = None) -> list[DetectionRecord]:
+    """Parse an ndjson record file; errors carry the offending line number.
+
+    ``known`` maps the exact text of a line to the record parsed from it. A
+    line found there is taken as it is, without decoding or checking it again,
+    and every line that parses is added. This is exact: a line always parses
+    to the same immutable record, and its location only ever enters an error,
+    which a line in ``known`` cannot raise.
+    """
+    if known is None:
+        known = {}
     records = []
     try:
         # bytes that are not UTF-8 decode to lone surrogates, so that the bad
@@ -183,6 +192,10 @@ def read_records(path) -> list[DetectionRecord]:
         raise DataError(f"cannot read records: {exc}") from exc
     with handle:
         for lineno, line in enumerate(handle, start=1):
+            record = known.get(line)
+            if record is not None:
+                records.append(record)
+                continue
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
@@ -192,14 +205,15 @@ def read_records(path) -> list[DetectionRecord]:
                 except UnicodeEncodeError as exc:
                     raise DataError(f"{where}: not valid UTF-8") from exc
             try:
-                obj = json.loads(line)
-                records.append(_parse_record(obj, where))
+                record = _parse_record(json.loads(line), where)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
             except ValueError as exc:  # an integer literal too long to convert
                 raise DataError(f"{where}: {exc}") from exc
             except RecursionError as exc:  # in json.loads, or in repr for a message
                 raise DataError(f"{where}: JSON nested too deeply") from exc
+            known[line] = record
+            records.append(record)
     if not records:
         raise DataError(f"{path}: no records found")
     return records

@@ -98,6 +98,8 @@ def test_config_rejects_non_object_sections(doc):
     {"seed": -1},
     {"scene": {"width": 0, "object_count": [0, 0]}},
     {"scene": {"width": -5}},
+    {"iou_threshold": 10**400},
+    {"severity_levels": [0.05, 10**400]},
 ])
 def test_config_rejects_out_of_range_values(doc):
     with pytest.raises(ConfigError):
@@ -436,6 +438,10 @@ def test_cli_transient_and_exit_codes(tmp_path):
     pytest.param(["transient", "--workers", "100000"], {}, id="too-many-workers"),
     pytest.param(["transient"], b'{"seed": 1, "mode": "\xfftransient"}', id="not-utf8"),
     pytest.param(["permanent", "--n-frames", "20"], b"[" * 100000, id="nested-too-deep"),
+    # integers beyond float range, in a float field and in a float array
+    pytest.param(["transient"], {"iou_threshold": 10**400}, id="float-overflow"),
+    pytest.param(["permanent", "--n-frames", "20"], {"severity_levels": [0, 10**400]},
+                 id="level-overflow"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, command, doc):
     """``doc`` is a JSON document, or the raw bytes of the config file."""

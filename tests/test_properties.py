@@ -16,6 +16,8 @@ import os
 import pathlib
 import tempfile
 from dataclasses import fields, replace
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +37,8 @@ from odfault.campaign import (  # noqa: E402
 from odfault.detector import (  # noqa: E402
     ConvLayer, DetectorModel, Scene, SceneSpec, _components, _convolve, generate_scene, infer,
     reference_model, shape_catalog)
-from odfault.geometry import Box, Detection, _ious, iou, rasterize  # noqa: E402
+from odfault.geometry import (  # noqa: E402
+    Box, Detection, _ious, iou, mask_diff, mask_popcount, rasterize)
 from odfault.matching import (  # noqa: E402
     CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix)
 from odfault.metrics import ImageEval, severity  # noqa: E402
@@ -644,8 +647,17 @@ def test_read_records_matches_reference(docs):
         path = os.path.join(tmp, "records.ndjson")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("".join(json.dumps(doc) + "\n" for doc in docs))
-        assert _read_outcome(read_records, path) == _read_outcome(
-            records_reference.read_records, path)
+        expected = _read_outcome(records_reference.read_records, path)
+        assert _read_outcome(read_records, path) == expected
+        # a second read through one ``known`` dict takes every line that
+        # parsed from the dict, and still gives the same records or error
+        known = {}
+        reads = [_read_outcome(partial(read_records, known=known), path) for _ in range(2)]
+        assert reads == [expected, expected]
+        if expected[0] == "records":
+            parsed = {id(record) for record in known.values()}
+            assert {id(record) for record in read_records(path, known)} <= parsed
+            assert len(known) == len(parsed)
 
 
 def _value_twin(value):
@@ -701,8 +713,27 @@ def test_score_matches_assign_and_severity(pair, gts, policy, iou_threshold, dim
         outcome = assign(dets, gts, cfg.iou_threshold, cfg.category_policy)
         return outcome.tp, outcome.fp, outcome.fn
 
-    raster_orig = rasterize([d.box for d in orig], *dims)
-    scored = _score(cfg, counts(orig), raster_orig, dims, nan, False, key="img", image_id="img",
-                    gts=gts, orig=orig, corr=corr)
+    calls = []
+
+    def counted(boxes, width, height):
+        calls.append(len(boxes))
+        return rasterize(boxes, width, height)
+
+    with mock.patch("odfault.campaign.rasterize", counted), \
+            mock.patch("odfault.metrics.rasterize", counted):
+        scored = _score(cfg, counts(orig), dims, nan, False, key="img", image_id="img",
+                        gts=gts, orig=orig, corr=corr)
+    # value-equal lists are scored without a raster, changed ones with two
+    assert len(calls) == (0 if corr == orig else 2)
+
+    # the occupancy features from the masks themselves, for every pair, so
+    # that severity's shortcut for value-equal lists is checked, not trusted
+    raster_orig, raster_corr = (rasterize([d.box for d in dets], *dims) for dets in (orig, corr))
+    orig_area = mask_popcount(raster_orig)
     evaluation = ImageEval("img", counts(orig), counts(corr), nan_flag=nan)
-    assert repr(scored.report) == repr(severity(evaluation, orig, corr, dims))
+    expected = replace(
+        severity(evaluation, orig, corr, dims),
+        a_fp_occ=mask_popcount(mask_diff(raster_corr, raster_orig)) / (dims[0] * dims[1]),
+        a_fn_vac=mask_popcount(mask_diff(raster_orig, raster_corr)) / orig_area if orig_area
+        else 0.0)
+    assert repr(scored.report) == repr(expected)

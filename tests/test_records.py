@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -200,6 +201,24 @@ def test_record_accepts_integer_ids_and_missing_flags(tmp_path):
     first, second = read_records(path)
     assert (first.image_id, first.nan_flag, first.inf_flag) == (7, False, False)
     assert (second.nan_flag, second.inf_flag) == (False, True)
+
+
+def test_known_lines_are_reused_and_errors_keep_their_location(tmp_path):
+    lines = [json.dumps(_record(name).to_json()) + "\n" for name in ("a", "b", "c")]
+    orig, corr = tmp_path / "orig.ndjson", tmp_path / "corr.ndjson"
+    orig.write_text("".join(lines))
+    corr.write_text(lines[0] + json.dumps(_record("b", nan=True).to_json()) + "\n" + lines[2])
+    known = {}
+    first = read_records(orig, known)
+    second = read_records(corr, known)
+    assert second[0] is first[0] and second[2] is first[2]
+    assert second[1] is not first[1] and second[1] == _record("b", nan=True)
+    assert len(known) == 4
+
+    # a bad line after reused ones names its own file and line
+    corr.write_text(lines[0] + lines[1] + "{broken\n" + lines[2])
+    with pytest.raises(DataError, match=f"^{re.escape(str(corr))}:3: invalid JSON"):
+        read_records(corr, known)
 
 
 def test_ground_truth_without_bbox_rejected(tmp_path):
