@@ -46,6 +46,7 @@ from odfault.detector import (
     generate_scene,
     generate_sequence,
     infer,
+    receptive_field,
     reference_model,
     shape_catalog,
 )
@@ -142,7 +143,10 @@ class CampaignConfig:
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
         # sorted unique floats, so the lowest level is [0] and report keys
         # read "0.0" whether the config said 0 or 0.0
-        levels = tuple(sorted({float(level) for level in self.severity_levels}))
+        try:
+            levels = tuple(sorted({float(level) for level in self.severity_levels}))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"severity levels must be numbers within float range: {exc}") from exc
         if not levels:
             raise ConfigError("severity_levels must not be empty")
         if not all(0.0 <= level < math.inf for level in levels):
@@ -505,6 +509,11 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     golden activation set at a time. The first ``emit_masks`` injections
     of the chunk that persist at the lowest severity level keep their FP
     tracker masks for the PGM output.
+
+    A neuron fault's pass whose receptive field (``detector.receptive_field``)
+    repeats that of an earlier pass of the same injection that kept golden's
+    detections is not run again: it keeps golden's detections too, with the
+    same NaN/Inf flags. A pass that decoded is never reused.
     """
     frames = _generate(
         generate_sequence, cfg, _derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
@@ -519,17 +528,25 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     fp_blobs = [[] for _ in faults]
     fn_blobs = [[] for _ in faults]
     due_frames = [0] * len(faults)
+    reused = [{} for _ in faults]  # receptive field -> (nan, inf) of a pass that kept golden's detections
     for frame in frames:
         golden = infer(model, frame)
         orig_raster = rasterize([d.box for d in golden.detections], frame.width, frame.height)
         orig_rasters.append(orig_raster)
         for k, fault in enumerate(faults):
-            trace = infer(model, frame, fault=fault, golden=golden)
-            corr_raster = (orig_raster if trace.detections == golden.detections else
-                           rasterize([d.box for d in trace.detections], frame.width, frame.height))
+            patch = receptive_field(model, frame, fault, golden)
+            flags = reused[k].get(patch)
+            corr_raster = orig_raster
+            if flags is None:
+                trace = infer(model, frame, fault=fault, golden=golden)
+                flags = trace.nan_seen, trace.inf_seen
+                if trace.detections != golden.detections:
+                    corr_raster = rasterize([d.box for d in trace.detections], frame.width, frame.height)
+                elif patch is not None and golden.detections and trace.detections is golden.detections:
+                    reused[k][patch] = flags  # golden's own non-empty tuple: the pass did not decode
             fp_blobs[k].append(corr_raster & ~orig_raster)
             fn_blobs[k].append(orig_raster & ~corr_raster)
-            due_frames[k] += int(trace.nan_seen or trace.inf_seen)
+            due_frames[k] += int(any(flags))
 
     area = frames[0].width * frames[0].height
     fn_tracker = replace(cfg.tracker, coasting=False)
@@ -612,6 +629,7 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
     known: dict = {}
     orig_records = read_records(orig_path, known)
     corr_records = read_records(corr_path, known)
+    del known  # the line texts are not read again: free them before scoring and AP
 
     orig_by_id = {r.image_id: r for r in orig_records}
     corr_by_id = {r.image_id: r for r in corr_records}

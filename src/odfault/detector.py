@@ -46,6 +46,7 @@ __all__ = [
     "generate_scene",
     "generate_sequence",
     "infer",
+    "receptive_field",
     "shape_catalog",
     "CATEGORY_INTENSITIES",
     "BACKGROUND_LEVELS",
@@ -568,7 +569,10 @@ def infer(
     A faulty pass always resumes at the fault's layer from the scene's
     fault-free trace, ``golden``, as ``infer(model, scene)`` returns it;
     without ``golden`` the pass builds that trace first. ``golden`` is
-    ignored without a fault.
+    ignored without a fault. A faulty pass that does not decode returns
+    golden's ``detections`` object itself; one that decodes returns a new
+    tuple, which is golden's object only when both are empty (CPython keeps
+    one empty tuple).
     """
     if fault is not None:
         _check_fault(model, scene, fault)
@@ -587,6 +591,35 @@ def infer(
         layer_flags.append(_nonfinite(x))
         activations.append(x)  # never written after this point
     return InferenceTrace(tuple(_decode(x)), tuple(activations), tuple(layer_flags))
+
+
+def receptive_field(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
+                    golden: InferenceTrace) -> bytes | None:
+    """The scene pixels a neuron fault's resumed pass can read, as raw bytes:
+    those within ``2 * sum(kh // 2)`` rows and ``2 * sum(kw // 2)`` columns
+    of the faulted pixel, summed over the model's layers and clipped to the
+    scene (a 9x9 patch for the reference model). None for a weight fault,
+    whose one-filter part spans the whole plane, and when ``golden`` holds
+    Inf or NaN, since ``_resume`` then takes NaN/Inf flags over whole layers.
+
+    For one fault, two scenes of one size with equal fields give passes
+    that take the same path through ``_resume`` up to decode, with equal
+    NaN/Inf flags. Each golden value at pixel p depends only on the scene
+    within the summed radii of p, since sparse taps, every tap and twin
+    copies give the same bits over finite input, and zero padding depends
+    on p alone. The patched value reads golden at the faulted pixel. Every
+    later window lies within the summed radii of that pixel, and it reads
+    golden values within the same radii again. The comparisons with golden,
+    the gate comparison included, read the same windows. Windows and
+    clipping depend only on the pixel, which is fixed for a fault. A pass
+    that decodes is not covered: decode reads the whole score map.
+    """
+    if fault.target != FaultTarget.NEURON or golden.nan_seen or golden.inf_seen:
+        return None
+    _, row, col = fault.tensor_coords
+    rows = 2 * sum(layer.weights.shape[2] // 2 for layer in model.layers)
+    cols = 2 * sum(layer.weights.shape[3] // 2 for layer in model.layers)
+    return scene.pixels[max(row - rows, 0):row + rows + 1, max(col - cols, 0):col + cols + 1].tobytes()
 
 
 def _changed(part: np.ndarray, golden: np.ndarray, channels: list[int], window, golden_nan: bool):

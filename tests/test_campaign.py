@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import pytest
 
-from odfault import cli
+from odfault import campaign, cli
 from odfault.campaign import (
     CSV_COLUMNS,
     MAX_SCENE_SIDE,
@@ -45,6 +45,9 @@ def test_severity_levels_normalised_at_load():
     for bad in ([], [-0.1], ["x"], [float("nan")]):
         with pytest.raises(ConfigError):
             CampaignConfig.from_json(dict(PERMANENT_BASE, severity_levels=bad))
+    for bad in ((10**400,), ("a",), (None,)):  # built in Python, past from_json's type checks
+        with pytest.raises(ConfigError):
+            CampaignConfig(seed=1, severity_levels=bad)
 
 
 def test_config_validation():
@@ -263,6 +266,22 @@ def test_outputs_identical_at_one_and_two_workers(tmp_path, runner, cfg):
     assert one == _campaign_files(tmp_path / "w2")
     if runner is run_permanent:
         assert any(name.endswith(".pgm") for name in one)  # seed 20 persists
+
+
+def test_permanent_reuse_of_repeated_receptive_fields_changes_no_byte(tmp_path, monkeypatch):
+    cfg = CampaignConfig.from_json({"mode": "permanent", "seed": 20, "n_injections": 5,
+                                    "emit_masks": 2, "sequence": {"n_frames": 60}})
+    calls = []
+    monkeypatch.setattr(campaign, "infer", lambda *args, **kwargs: calls.append(1) or infer(*args, **kwargs))
+    run_permanent(cfg, tmp_path / "reused")
+    reused_calls = len(calls)
+    monkeypatch.setattr(campaign, "receptive_field", lambda *args: None)
+    run_permanent(cfg, tmp_path / "every")
+    files = _campaign_files(tmp_path / "every")
+    assert any(name.endswith(".pgm") for name in files)  # seed 20 persists
+    assert _campaign_files(tmp_path / "reused") == files
+    assert len(calls) - reused_calls == 60 * 6  # every pass ran
+    assert reused_calls < 60 * 6
 
 
 @pytest.mark.parametrize("side, workers, sizes", [

@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from odfault.detector import (
     generate_scene,
     generate_sequence,
     infer,
+    receptive_field,
     reference_model,
     shape_catalog,
 )
@@ -638,3 +640,74 @@ def test_neuron_faults_cover_the_whole_scene(size):
     rows = [sample_fault(catalog, FaultTarget.NEURON, "all_32", seed=s).tensor_coords[1]
             for s in range(200)]
     assert max(rows) >= size - 8
+
+
+def test_receptive_field_is_the_patch_within_twice_the_summed_kernel_radii():
+    # the reference model's 3x3, 1x1, 1x1, 1x1 and 3x3 layers sum to a
+    # radius of 2, so a neuron fault's pass reads a 9x9 patch, clipped to
+    # the scene at the border
+    scene = generate_scene(SPEC, seed=0)
+    golden = infer(MODEL, scene)
+    inside = receptive_field(MODEL, scene, _neuron_fault(2, (0, 30, 20), 30), golden)
+    assert inside == scene.pixels[26:35, 16:25].tobytes()
+    corner = receptive_field(MODEL, scene, _neuron_fault(0, (1, 0, 63), 30), golden)
+    assert corner == scene.pixels[0:5, 59:64].tobytes()
+
+
+def test_receptive_field_widens_with_a_5x5_layer():
+    wide = np.zeros((4, 1, 5, 5), dtype=np.float32)
+    wide[:, :, 1:4, 1:4] = MODEL.layers[0].weights
+    model = DetectorModel((replace(MODEL.layers[0], weights=wide), *MODEL.layers[1:]))
+    scene = generate_scene(SPEC, seed=0)
+    golden = infer(model, scene)
+    fault = _neuron_fault(3, (0, 30, 20), 30)
+    assert receptive_field(model, scene, fault, golden) == scene.pixels[24:37, 14:27].tobytes()
+    for row, inside in ((36, True), (37, False)):  # 6 rows below the pixel, then 7
+        pixels = scene.pixels.copy()
+        pixels[row, 20] += np.float32(0.5)
+        moved = Scene(pixels, scene.objects)
+        same = receptive_field(model, moved, fault, infer(model, moved)) == \
+            receptive_field(model, scene, fault, golden)
+        assert same is not inside
+
+
+def test_receptive_field_is_none_for_weight_faults():
+    scene = generate_scene(SPEC, seed=0)
+    golden = infer(MODEL, scene)
+    assert receptive_field(MODEL, scene, _weight_fault(4, (1, 4, 1, 1), 30), golden) is None
+    assert receptive_field(MODEL, scene, _weight_fault(0, (0, 0, 1, 1), 22), golden) is None
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_receptive_field_is_none_over_a_nonfinite_golden(value):
+    # the bad pixel lies far outside the fault's patch: the whole-layer
+    # flags of golden are what rule the reuse out
+    scene = generate_scene(SPEC, seed=0)
+    pixels = scene.pixels.copy()
+    pixels[0, 0] = value
+    hot = Scene(pixels, scene.objects)
+    golden = infer(MODEL, hot)
+    assert golden.nan_seen or golden.inf_seen
+    assert receptive_field(MODEL, hot, _neuron_fault(2, (0, 30, 20), 30), golden) is None
+
+
+def test_a_pixel_past_the_summed_radius_can_decide_a_pass():
+    # two 3x3 layers sum to a radius of 2, yet the pixel 3 columns from a
+    # first-layer fault decides whether the pass changes the detections:
+    # the second layer's window reads first-layer values 2 columns away,
+    # and each of those reads one column further
+    first = np.zeros((1, 1, 3, 3), dtype=np.float32)
+    first[0, 0, 1, 2] = 1.0  # the right neighbour
+    second = np.zeros((1, 1, 3, 3), dtype=np.float32)
+    second[0, 0, 1, :] = 1.0  # a row of three
+    model = DetectorModel((ConvLayer(first, np.zeros(1, dtype=np.float32), "relu"),
+                           ConvLayer(second, np.full(1, -1.5, dtype=np.float32), "relu")))
+    fault = _neuron_fault(0, (0, 0, 3), 30)  # 0.0 -> 2.0
+    kept, fields = [], []
+    for far in (0.0, 1.0):
+        scene = Scene(np.array([[1, 1, 1, 1, 0, 1, far, 0, 0]], dtype=np.float32), ())
+        golden = infer(model, scene)
+        kept.append(infer(model, scene, fault=fault, golden=golden).detections is golden.detections)
+        fields.append(receptive_field(model, scene, fault, golden))
+    assert kept == [False, True]
+    assert fields[0] != fields[1]

@@ -30,13 +30,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import ap_reference  # noqa: E402
 import records_reference  # noqa: E402
 from dense_reference import dense_conv, dense_infer, same_but_nan_payload  # noqa: E402
-from odfault import ap, cli  # noqa: E402
+from odfault import ap, cli, detector  # noqa: E402
 from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
 from odfault.campaign import (  # noqa: E402
     CampaignConfig, _score, run_permanent, run_transient)
 from odfault.detector import (  # noqa: E402
     ConvLayer, DetectorModel, Scene, SceneSpec, _components, _convolve, generate_scene, infer,
-    reference_model, shape_catalog)
+    receptive_field, reference_model, shape_catalog)
 from odfault.geometry import (  # noqa: E402
     Box, Detection, _ious, iou, mask_diff, mask_popcount, rasterize)
 from odfault.matching import (  # noqa: E402
@@ -368,6 +368,75 @@ def test_resumed_inference_matches_dense_reference_on_small_models(case):
     _assert_same_trace(golden, dense_infer(model, scene))
     _assert_same_trace(infer(model, scene, fault=fault, golden=golden),
                        dense_infer(model, scene, fault))
+
+
+# Two scenes that share the pixels within a drawn radius of a neuron fault
+# and are drawn afresh outside it. The radius runs from the summed kernel
+# radius R to past the receptive field's 2R, so fields compare equal only
+# when the shared patch covers them, save for chance repeats among the few
+# pixel values. A later 3x3 layer reads golden values up to 2R - 1 pixels
+# away from a first-layer fault, so such faults and 3x3 layers are drawn
+# often, as is bit 30 (0 -> 2.0, 1.0 -> Inf). Weights, biases and pixels put
+# scores on both sides of SCORE_GATE, so passes decode, reconverge and
+# raise flags.
+_field_weights = st.sampled_from([0.0, 0.0, 1.0, 1.0, -1.0, 0.5, 2.0])
+_field_biases = st.sampled_from([0.0, -0.5, -1.5, 0.25, -1.0])
+_field_pixels = st.sampled_from([0.0, 0.0, 1.0, 1.0, 0.5, -1.0])
+
+
+@st.composite
+def _field_pairs(draw):
+    c_in, layers = 1, []
+    for _ in range(draw(st.integers(2, 3))):
+        k, c_out = draw(st.sampled_from([1, 3, 3, 3])), draw(st.integers(1, 2))
+        n = c_out * c_in * k * k
+        weights = np.array(draw(st.lists(_field_weights, min_size=n, max_size=n)),
+                           dtype=np.float32).reshape(c_out, c_in, k, k)
+        biases = np.array(draw(st.lists(_field_biases, min_size=c_out, max_size=c_out)),
+                          dtype=np.float32)
+        layers.append(ConvLayer(weights, biases, draw(st.sampled_from(["relu", "relu1"]))))
+        c_in = c_out
+    model = DetectorModel(tuple(layers))
+    height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    layer = draw(st.one_of(st.just(0), st.integers(0, len(layers) - 1)))
+    channel = draw(st.integers(0, layers[layer].weights.shape[0] - 1))
+    row, col = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    fault = FaultDescriptor(FaultTarget.NEURON, layer, (channel, row, col),
+                            draw(st.one_of(st.just(30), _model_bits)),
+                            draw(st.sampled_from(list(FaultMode))))
+    reach = sum(conv.weights.shape[2] // 2 for conv in layers)
+    radius = draw(st.one_of(st.just(reach), st.integers(reach, 2 * reach + 1)))
+    scenes = [np.array(draw(st.lists(_field_pixels, min_size=height * width,
+                                     max_size=height * width)),
+                       dtype=np.float32).reshape(height, width) for _ in range(2)]
+    shared = (slice(max(row - radius, 0), row + radius + 1), slice(max(col - radius, 0), col + radius + 1))
+    scenes[1][shared] = scenes[0][shared]
+    return model, [Scene(pixels, ()) for pixels in scenes], fault
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_pairs())
+def test_passes_over_equal_receptive_fields_take_the_same_path(case):
+    # the permanent campaign reuses a pass that kept golden's detections on
+    # every later frame whose receptive field is equal: the two passes
+    # change the same elements to the same bits, decode alike and raise
+    # the same flags
+    model, scenes, fault = case
+    goldens = [infer(model, scene) for scene in scenes]
+    fields = [receptive_field(model, scene, fault, golden) for scene, golden in zip(scenes, goldens)]
+    hypothesis.assume(fields[0] is not None and fields[0] == fields[1])
+    paths = []
+    for scene, golden in zip(scenes, goldens):
+        with mock.patch.object(detector, "_decode", wraps=detector._decode) as decode:
+            trace = infer(model, scene, fault=fault, golden=golden)
+        if not decode.called:
+            assert trace.detections is golden.detections  # the identity rule of infer
+        changes = []
+        for faulty, kept in zip(trace.activations, golden.activations):
+            changed = faulty.view(np.uint32) != kept.view(np.uint32)
+            changes.append((np.argwhere(changed).tolist(), faulty.view(np.uint32)[changed].tolist()))
+        paths.append((decode.called, trace.nan_seen, trace.inf_seen, changes))
+    assert paths[0] == paths[1]
 
 
 # Zero weights of either sign are what the sparse convolution skips; the
