@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -74,7 +75,8 @@ class ConfigError(Exception):
 
 # Largest scene side: a golden trace holds 41 float32 planes of the scene,
 # about 170 MB at 1024 x 1024, and a permanent injection 2 MB of masks per
-# frame at that side (``_CHUNK_MASK_BYTES`` bounds them per work item).
+# frame that its fault changed at that side (``_CHUNK_MASK_BYTES`` bounds
+# them per work item for the worst case, a fault that changes every frame).
 MAX_SCENE_SIDE = 1024
 
 # Most worker processes: a process pool starts all of its workers at once.
@@ -93,6 +95,14 @@ _FP_TYPES = ("class_only", "box_only", "both_or_unmatched")
 
 def _derive_seed(seed: int, stream: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, stream, index))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -118,8 +128,15 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in ("transient", "permanent", "ingest"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.seed is None or self.seed < 0:
-            raise ConfigError(f"seed is mandatory and must not be negative, got {self.seed}")
+        if self.seed is None:
+            raise ConfigError("seed is mandatory")
+        for name in ("seed", "n_injections", "workers", "emit_masks", "scene_pool", "n_frames"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_real(self.iou_threshold):
+            raise ConfigError(f"iou_threshold must be a real number, got {self.iou_threshold!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.mode in ("transient", "permanent") and self.n_injections < 1:
             raise ConfigError("n_injections must be at least 1")
         if self.target not in [target.value for target in FaultTarget]:
@@ -144,9 +161,13 @@ class CampaignConfig:
         # sorted unique floats, so the lowest level is [0] and report keys
         # read "0.0" whether the config said 0 or 0.0
         try:
-            levels = tuple(sorted({float(level) for level in self.severity_levels}))
+            entries = tuple(self.severity_levels)
+            if not all(map(_is_real, entries)):
+                raise TypeError(f"got {entries!r}")
+            levels = tuple(sorted({float(level) for level in entries}))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"severity levels must be numbers within float range: {exc}") from exc
+            raise ConfigError(
+                f"severity_levels must be real numbers within float range: {exc}") from exc
         if not levels:
             raise ConfigError("severity_levels must not be empty")
         if not all(0.0 <= level < math.inf for level in levels):
@@ -487,7 +508,8 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
 
 
 # injections per permanent work item, and the bytes of FP and FN blob masks
-# (two bool masks per injection and frame) one work item may hold
+# (two bool masks per injection and changed frame) one work item may hold
+# when every frame changes
 _PERMANENT_CHUNK = 32
 _CHUNK_MASK_BYTES = 1 << 30
 
@@ -506,18 +528,22 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
 
     Frames form the outer loop: each frame's golden pass is built once and
     every injection of the chunk resumes from it, so a process holds one
-    golden activation set at a time. The first ``emit_masks`` injections
-    of the chunk that persist at the lowest severity level keep their FP
-    tracker masks for the PGM output.
+    golden activation set at a time; a frame is freed once its passes are
+    done. A frame whose faulty raster is golden's own adds no mask: its FP
+    and FN blobs are one shared read-only empty mask. The first
+    ``emit_masks`` injections of the chunk that persist at the lowest
+    severity level keep their FP tracker masks for the PGM output.
 
     A neuron fault's pass whose receptive field (``detector.receptive_field``)
     repeats that of an earlier pass of the same injection that kept golden's
     detections is not run again: it keeps golden's detections too, with the
     same NaN/Inf flags. A pass that decoded is never reused.
     """
+    width, height = cfg.scene_spec.width, cfg.scene_spec.height
     frames = _generate(
         generate_sequence, cfg, _derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
-        n_frames=cfg.n_frames, width=cfg.scene_spec.width, height=cfg.scene_spec.height)
+        n_frames=cfg.n_frames, width=width, height=height)
+    frames.reverse()  # popped in order, so each frame is freed after its passes
     faults = [
         sample_fault(catalog, FaultTarget(cfg.target), "exponent_only",
                      seed=_derive_seed(cfg.seed, _STREAM_FAULT, index),
@@ -529,9 +555,12 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     fn_blobs = [[] for _ in faults]
     due_frames = [0] * len(faults)
     reused = [{} for _ in faults]  # receptive field -> (nan, inf) of a pass that kept golden's detections
-    for frame in frames:
+    unchanged = np.zeros((height, width), dtype=bool)  # the FP and FN blob of every unchanged frame
+    unchanged.flags.writeable = False
+    while frames:
+        frame = frames.pop()
         golden = infer(model, frame)
-        orig_raster = rasterize([d.box for d in golden.detections], frame.width, frame.height)
+        orig_raster = rasterize([d.box for d in golden.detections], width, height)
         orig_rasters.append(orig_raster)
         for k, fault in enumerate(faults):
             patch = receptive_field(model, frame, fault, golden)
@@ -541,14 +570,18 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
                 trace = infer(model, frame, fault=fault, golden=golden)
                 flags = trace.nan_seen, trace.inf_seen
                 if trace.detections != golden.detections:
-                    corr_raster = rasterize([d.box for d in trace.detections], frame.width, frame.height)
+                    corr_raster = rasterize([d.box for d in trace.detections], width, height)
                 elif patch is not None and golden.detections and trace.detections is golden.detections:
                     reused[k][patch] = flags  # golden's own non-empty tuple: the pass did not decode
-            fp_blobs[k].append(corr_raster & ~orig_raster)
-            fn_blobs[k].append(orig_raster & ~corr_raster)
+            if corr_raster is orig_raster:
+                fp_blobs[k].append(unchanged)
+                fn_blobs[k].append(unchanged)
+            else:
+                fp_blobs[k].append(corr_raster & ~orig_raster)
+                fn_blobs[k].append(orig_raster & ~corr_raster)
             due_frames[k] += int(any(flags))
 
-    area = frames[0].width * frames[0].height
+    area = width * height
     fn_tracker = replace(cfg.tracker, coasting=False)
     results = []
     kept_masks = 0

@@ -42,21 +42,32 @@ class TrackerConfig:
 
 def track(blobs: list[np.ndarray], cfg: TrackerConfig) -> tuple[np.ndarray, ...]:
     """Run the pixel-wise M/N scheme over a blob-mask sequence; one
-    persistent-pixel mask per frame."""
+    persistent-pixel mask per frame.
+
+    Warm-up frames, and frames whose last ``n`` blobs hold no set pixel,
+    all get one shared read-only empty mask: every count is zero there, so
+    no pixel is strong or near a strong one, and none persists.
+    """
     if len(blobs) < cfg.n:
         raise ValueError(f"sequence of {len(blobs)} frames is shorter than n={cfg.n}")
     shape = blobs[0].shape
     if any(b.shape != shape for b in blobs):
         raise ValueError("all blob masks must share dimensions")
 
+    empty = np.zeros(shape, dtype=bool)
+    empty.flags.writeable = False
+    occupied = [bool(blob.any()) for blob in blobs]
+    last_occupied = -cfg.n  # the latest frame so far whose blob has a set pixel
     counts = np.zeros(shape, dtype=np.int32)
     masks = []
     for t, blob in enumerate(blobs):
-        counts += blob
-        if t >= cfg.n:
+        if occupied[t]:
+            counts += blob
+            last_occupied = t
+        if t >= cfg.n and occupied[t - cfg.n]:
             counts -= blobs[t - cfg.n]
-        if t < cfg.n - 1:
-            masks.append(np.zeros(shape, dtype=bool))
+        if t < cfg.n - 1 or t - last_occupied >= cfg.n:
+            masks.append(empty)
             continue
         strong = counts >= cfg.m
         near_strong = _dilate(strong, cfg.vicinity_px)

@@ -6,9 +6,11 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from operator import itemgetter
 
+import numpy as np
 import pytest
 
 from odfault import campaign, cli
@@ -26,6 +28,7 @@ from odfault.campaign import (
     write_pgm,
 )
 from odfault.detector import SceneSpec, generate_scene, infer, reference_model
+from odfault.persistence import track
 from odfault.records import DataError, DetectionRecord, record_from_trace, write_records
 
 TRANSIENT_BASE = {"mode": "transient", "seed": 9, "n_injections": 30, "scene": {"pool": 10}}
@@ -45,9 +48,37 @@ def test_severity_levels_normalised_at_load():
     for bad in ([], [-0.1], ["x"], [float("nan")]):
         with pytest.raises(ConfigError):
             CampaignConfig.from_json(dict(PERMANENT_BASE, severity_levels=bad))
-    for bad in ((10**400,), ("a",), (None,)):  # built in Python, past from_json's type checks
-        with pytest.raises(ConfigError):
+    # built in Python, past from_json's type checks; "0.1" and True are not coerced
+    for bad in ((10**400,), ("a",), (None,), ("0.1", True), (0.1, True)):
+        with pytest.raises(ConfigError, match="severity_levels"):
             CampaignConfig(seed=1, severity_levels=bad)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.0),
+    ("seed", True),
+    ("n_injections", 2.5),
+    ("n_injections", True),
+    ("workers", "2"),
+    ("emit_masks", 1.0),
+    ("scene_pool", None),
+    ("n_frames", np.float64(60)),
+    ("iou_threshold", "0.5"),
+    ("iou_threshold", True),
+    ("iou_threshold", None),
+])
+def test_config_built_in_python_rejects_wrong_types(name, value):
+    # from_json never builds these; a config built in Python must not load
+    # them and fail later
+    with pytest.raises(ConfigError, match=name):
+        CampaignConfig(**{"mode": "permanent", "seed": 1, name: value})
+
+
+def test_config_built_in_python_accepts_numpy_numbers():
+    cfg = CampaignConfig(mode="permanent", seed=np.int64(1), n_injections=np.int64(3),
+                         n_frames=np.int64(20), iou_threshold=np.float32(0.5),
+                         severity_levels=(np.float64(0.05), np.int64(0)))
+    assert cfg.n_injections == 3 and cfg.severity_levels == (0.0, 0.05)
 
 
 def test_config_validation():
@@ -282,6 +313,31 @@ def test_permanent_reuse_of_repeated_receptive_fields_changes_no_byte(tmp_path, 
     assert _campaign_files(tmp_path / "reused") == files
     assert len(calls) - reused_calls == 60 * 6  # every pass ran
     assert reused_calls < 60 * 6
+
+
+def test_permanent_memory_grows_only_with_changed_frames(tmp_path, monkeypatch):
+    # 9 of seed 20's 10 injections never change a frame. Their FP and FN
+    # blobs are one shared read-only mask, so an added frame costs its
+    # golden raster and the changed injection's blobs, not 20 fresh masks
+    # (about 113 KB per frame when every blob was its own array).
+    blobs = []
+    monkeypatch.setattr(campaign, "track", lambda masks, cfg: blobs.append(
+        (sum(not mask.flags.writeable for mask in masks), len(masks))) or track(masks, cfg))
+
+    def peak(n_frames):
+        cfg = CampaignConfig(mode="permanent", seed=20, n_injections=10, n_frames=n_frames)
+        blobs.clear()
+        tracemalloc.start()
+        try:
+            run_permanent(cfg, tmp_path / str(n_frames))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(15)  # lazy imports and first-use caches, outside the measured runs
+    short = peak(60)
+    assert [sum(column) for column in zip(*blobs)] == [1080, 1200]
+    assert (peak(150) - short) / 90 < 32 * 1024
 
 
 @pytest.mark.parametrize("side, workers, sizes", [

@@ -155,6 +155,55 @@ def test_matches_shift_oracle_on_random_sequences():
                 assert np.array_equal(g, e)
 
 
+def _sparse_sequence(rng, n, frames=40, shape=(12, 18)):
+    """Short bursts of blobs at 5-50% density between empty stretches of
+    n + 1 to 2n + 1 frames, so that many windows of n frames hold no set
+    pixel; a burst may start at frame 0, inside the warm-up."""
+    blobs = []
+    while len(blobs) < frames:
+        if blobs or rng.random() < 0.5:
+            blobs += [np.zeros(shape, dtype=bool)] * int(rng.integers(n + 1, 2 * n + 2))
+        p = rng.uniform(0.05, 0.5)
+        blobs += [rng.random(shape) < p for _ in range(int(rng.integers(1, n + 2)))]
+    return blobs[:frames]
+
+
+def test_matches_shift_oracle_on_sparse_sequences():
+    rng = np.random.default_rng(45)
+    n = 5
+    for coasting in (True, False):
+        for vicinity in (0, 1, 3):
+            for m in (1, 2, 4):
+                blobs = _sparse_sequence(rng, n)
+                got = track(blobs, TrackerConfig(m=m, n=n, vicinity_px=vicinity, coasting=coasting))
+                expected = oracle_track(blobs, m, n, vicinity, coasting)
+                assert len(got) == len(expected)
+                for g, e in zip(got, expected):
+                    assert np.array_equal(g, e)
+                # some window past the warm-up holds no set pixel
+                assert any(not any(b.any() for b in blobs[t - n + 1:t + 1])
+                           for t in range(n - 1, len(blobs)))
+
+
+def test_empty_windows_share_one_read_only_mask():
+    n, t = 5, 8
+    shape = (6, 7)
+    blobs = [np.zeros(shape, dtype=bool) for _ in range(20)]
+    blobs[1][0, 0] = True  # inside the warm-up: counted, but no mask before frame n - 1
+    blobs[t][2, 3] = True
+    out = track(blobs, TrackerConfig(m=1, n=n, vicinity_px=0, coasting=True))
+    empty = out[0]
+    assert not empty.flags.writeable and not empty.any() and empty.shape == shape
+    assert all(out[i] is empty for i in range(n - 1))  # warm-up
+    # frame 1's pixel persists, coasting, while a window holds it: frames n-1 and n
+    assert [np.argwhere(out[i]).tolist() for i in (n - 1, n)] == [[[0, 0]]] * 2
+    assert all(out[i] is empty for i in range(n + 1, t))
+    # frame t's pixel persists through frame t + n - 1, the last window that holds it
+    for i in range(t, t + n):
+        assert out[i] is not empty and np.argwhere(out[i]).tolist() == [[2, 3]]
+    assert all(out[i] is empty for i in range(t + n, len(blobs)))
+
+
 def test_monotonicity_in_m():
     rng = np.random.default_rng(9)
     blobs = _random_sequence(rng, frames=25, p=0.5)
