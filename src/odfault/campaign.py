@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -97,20 +96,12 @@ def _derive_seed(seed: int, stream: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, stream, index))
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Validated configuration shared by all campaign modes."""
 
     mode: str = "transient"
-    seed: int | None = None  # mandatory; None is rejected below
+    seed: int | None = None  # mandatory; its parser rejects None
     n_injections: int = 200
     target: str = "neuron"
     bit_policy: str = "all_32"
@@ -126,15 +117,19 @@ class CampaignConfig:
     emit_masks: int = 0
 
     def __post_init__(self):
+        # the _CONFIG_FIELDS parsers are the one type rule, as in from_json:
+        # every field, nested ones too, holds the plain value its parser returns
+        values: dict[str, dict] = {}
+        for _, _, name, parse in _CONFIG_FIELDS:
+            owner, _, attr = name.rpartition(".")
+            try:
+                values.setdefault(owner, {})[attr] = parse(reduce(getattr, name.split("."), self))
+            except (TypeError, AttributeError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        for name, value in _config_kwargs(values).items():
+            object.__setattr__(self, name, value)
         if self.mode not in ("transient", "permanent", "ingest"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.seed is None:
-            raise ConfigError("seed is mandatory")
-        for name in ("seed", "n_injections", "workers", "emit_masks", "scene_pool", "n_frames"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not _is_real(self.iou_threshold):
-            raise ConfigError(f"iou_threshold must be a real number, got {self.iou_threshold!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.mode in ("transient", "permanent") and self.n_injections < 1:
@@ -151,23 +146,20 @@ class CampaignConfig:
             raise ConfigError(f"iou_threshold must lie in (0, 1], got {self.iou_threshold}")
         if self.scene_pool < 1:
             raise ConfigError("scene pool must be at least 1")
-        if not all(1 <= side <= MAX_SCENE_SIDE
-                   for side in (self.scene_spec.width, self.scene_spec.height)):
+        spec = self.scene_spec
+        if not all(1 <= side <= MAX_SCENE_SIDE for side in (spec.width, spec.height)):
             raise ConfigError(f"scene sides must be at least 1 and at most {MAX_SCENE_SIDE} "
-                              f"pixels, got {self.scene_spec.width}x{self.scene_spec.height}")
+                              f"pixels, got {spec.width}x{spec.height}")
+        # no larger object fits any scene, nor more objects than it has pixels
+        for name, bound in (("size_range", MAX_SCENE_SIDE), ("object_count", MAX_SCENE_SIDE ** 2)):
+            if (value := getattr(spec, name))[1] > bound:
+                raise ConfigError(f"scene {name} must end at most at {bound}, got {value}")
         if self.mode == "permanent" and self.n_frames < self.tracker.n:
             raise ConfigError(
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
-        # sorted unique floats, so the lowest level is [0] and report keys
-        # read "0.0" whether the config said 0 or 0.0
-        try:
-            entries = tuple(self.severity_levels)
-            if not all(map(_is_real, entries)):
-                raise TypeError(f"got {entries!r}")
-            levels = tuple(sorted({float(level) for level in entries}))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(
-                f"severity_levels must be real numbers within float range: {exc}") from exc
+        # sorted unique, so the lowest level is [0] and report keys read
+        # "0.0" whether the config said 0 or 0.0
+        levels = tuple(sorted(set(self.severity_levels)))
         if not levels:
             raise ConfigError("severity_levels must not be empty")
         if not all(0.0 <= level < math.inf for level in levels):
@@ -179,8 +171,8 @@ class CampaignConfig:
         """Config from a JSON document; ``overrides``, keyed by field name, win.
 
         Only the keys the document has are filled in, so every default is
-        its dataclass's own. Overrides that are None are ignored; a
-        document value an override replaces is still checked.
+        its dataclass's own. Overrides that are None or name no field are
+        ignored; a document value an override replaces is still checked.
         """
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
@@ -198,10 +190,7 @@ class CampaignConfig:
                         values.setdefault(owner, {})[attr] = parse(overrides[name])
                 except TypeError as exc:
                     raise ConfigError(f"{section or 'config'} key {key!r}: {exc}") from exc
-            kwargs = values.pop("", {})
-            for owner, nested in values.items():
-                kwargs[owner] = _NESTED[owner](**nested)
-            return cls(**kwargs)
+            return cls(**_config_kwargs(values))
         except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -220,11 +209,15 @@ class CampaignConfig:
 def _json(kind):
     """Parser that accepts JSON values of ``kind`` and never coerces one:
     ``"false"`` is not a bool, and ``2.9``, ``"2"`` and ``true`` are not
-    ints. An int passes as a float; ``[kind]`` is an array, kept as a tuple.
-    """
+    ints. An int passes as a float, and a numpy number as a Python one;
+    ``[kind]`` is an array (or a tuple, frozenset or ndarray), kept as a tuple."""
     def parse(value):
         if isinstance(kind, list):
-            return tuple(_json(kind[0])(item) for item in _json(list)(value))
+            if not isinstance(value, (list, tuple, frozenset, np.ndarray)):
+                raise TypeError(f"expected a JSON array, got {value!r}")
+            return tuple(map(_json(kind[0]), value))
+        if isinstance(value, np.integer) or (kind is float and isinstance(value, np.floating)):
+            value = value.item()
         if kind is float and type(value) is int:
             try:
                 return float(value)
@@ -278,6 +271,14 @@ _CONFIG_FIELDS = (
 )
 
 _NESTED = {"scene_spec": SceneSpec, "tracker": TrackerConfig, "category_policy": CategoryPolicy}
+
+
+def _config_kwargs(values: dict[str, dict]) -> dict:
+    """Config keyword arguments from parsed values grouped by owner ("" is the top)."""
+    kwargs = values.pop("", {})
+    for owner, nested in values.items():
+        kwargs[owner] = _NESTED[owner](**nested)
+    return kwargs
 
 
 def _scene_pool(cfg: CampaignConfig) -> int:

@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args, mode) -> CampaignConfig:
     base = {}
-    overrides = {key: getattr(args, key, None) for key in
-                 ("n_injections", "target", "workers", "bit_policy", "n_frames", "emit_masks")}
     try:
         if args.config:
             try:
@@ -84,7 +82,7 @@ def _load_config(args, mode) -> CampaignConfig:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
-        return CampaignConfig.from_json(base, mode=mode, seed=args.seed, **overrides)
+        return CampaignConfig.from_json(base, mode=mode, **vars(args))
     except RecursionError as exc:  # in json.load, or in repr for a message
         raise ConfigError("config is nested too deeply") from exc
 

@@ -170,4 +170,4 @@ def mask_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mask_popcount(mask: np.ndarray) -> int:
-    return int(mask.sum())
+    return int(np.count_nonzero(mask))

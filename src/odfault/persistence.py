@@ -80,9 +80,11 @@ def track(blobs: list[np.ndarray], cfg: TrackerConfig) -> tuple[np.ndarray, ...]
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Pixels within Chebyshev distance ``radius`` of a set pixel of a 2-D
-    bool mask: the window is separable, one pass per axis."""
+    bool mask: the window is separable, one pass per axis. A radius of the
+    larger side already spans every axis, so a larger one is capped there."""
     if radius == 0 or not mask.any():
         return mask
+    radius = min(radius, max(mask.shape))
     return _window_any(_window_any(mask.T, radius).T, radius)
 
 

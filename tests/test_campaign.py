@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from operator import itemgetter
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from odfault import campaign, cli
 from odfault.campaign import (
+    _CONFIG_FIELDS,
     CSV_COLUMNS,
     MAX_SCENE_SIDE,
     MAX_WORKERS,
@@ -28,7 +31,8 @@ from odfault.campaign import (
     write_pgm,
 )
 from odfault.detector import SceneSpec, generate_scene, infer, reference_model
-from odfault.persistence import track
+from odfault.matching import CategoryPolicy
+from odfault.persistence import TrackerConfig, track
 from odfault.records import DataError, DetectionRecord, record_from_trace, write_records
 
 TRANSIENT_BASE = {"mode": "transient", "seed": 9, "n_injections": 30, "scene": {"pool": 10}}
@@ -79,6 +83,95 @@ def test_config_built_in_python_accepts_numpy_numbers():
                          n_frames=np.int64(20), iou_threshold=np.float32(0.5),
                          severity_levels=(np.float64(0.05), np.int64(0)))
     assert cfg.n_injections == 3 and cfg.severity_levels == (0.0, 0.05)
+
+
+def _wrong_kinds(default):
+    """Values of the wrong JSON kind for a field whose valid value is ``default``."""
+    if isinstance(default, bool):
+        return ["false", 1, None, [True]]
+    if isinstance(default, int):
+        return [True, 2.0, np.float64(2), "2", None, [2]]
+    if isinstance(default, float):
+        return [True, "0.5", None, [0.5]]
+    if isinstance(default, str):
+        return [1, None, [default]]
+    # an array: a scalar, a string, None, and entries of the wrong kind
+    if not default:  # category_policy.clusters, an array of integer arrays
+        return [5, "15", None, (1, 2), ((1, 2.5),), (frozenset({True}),)]
+    entry = [2.5] if isinstance(default[0], int) else ["0.5"]
+    return [5, "15", None, (True,), (*default[:1], *entry)]
+
+
+_DEFAULT_CONFIG = CampaignConfig(mode="permanent", seed=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for _, _, name, _ in _CONFIG_FIELDS
+    for value in _wrong_kinds(reduce(getattr, name.split("."), _DEFAULT_CONFIG))
+])
+def test_config_built_in_python_rejects_wrong_kinds_in_every_field(name, value):
+    owner, _, attr = name.rpartition(".")
+    if owner:
+        # set past the nested dataclass's own checks, some of which reject
+        # these values first with errors of their own
+        nested = replace(getattr(_DEFAULT_CONFIG, owner))
+        object.__setattr__(nested, attr, value)
+        kwargs = {owner: nested}
+    else:
+        kwargs = {attr: value}
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        CampaignConfig(**{"mode": "permanent", "seed": 1, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"fixed_scene": "false"}, "fixed_scene"),
+    ({"tracker": TrackerConfig(m=2.5)}, "tracker.m"),
+    ({"tracker": TrackerConfig(coasting="no")}, "tracker.coasting"),
+    ({"scene_spec": SceneSpec(width=48.0)}, "scene_spec.width"),
+    ({"scene_spec": SceneSpec(size_range=[10, 16.0])}, "scene_spec.size_range"),
+    ({"category_policy": CategoryPolicy("clusters", ({1, 2},))}, "category_policy.clusters"),
+    ({"scene_spec": None}, "scene_spec.width"),
+    ({"tracker": (10, 15, 50, True)}, "tracker.m"),
+])
+def test_config_built_in_python_checks_nested_and_bool_fields(kwargs, name):
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        CampaignConfig(seed=1, n_injections=6, **kwargs)
+
+
+def _numpy_configs():
+    """Configs built in Python from numpy numbers, tuples and frozensets."""
+    return {
+        "top-level": CampaignConfig(
+            seed=np.int64(1), n_injections=np.uint16(6), workers=np.int8(2),
+            iou_threshold=np.float32(0.1), scene_pool=np.int32(3), fixed_scene=True,
+            severity_levels=(np.float64(0.05), np.int64(0))),
+        "nested": CampaignConfig(
+            mode="permanent", seed=1, n_injections=np.int64(2), n_frames=np.int64(20),
+            emit_masks=np.int64(1),
+            scene_spec=SceneSpec(width=np.int64(48), height=np.int16(40),
+                                 object_count=(np.int64(1), 3), size_range=[9, np.int64(14)]),
+            tracker=TrackerConfig(m=np.int64(3), n=np.int64(5), vicinity_px=np.int64(20))),
+        "clusters": CampaignConfig(
+            mode="ingest", seed=2, severity_levels=np.array([0.25, 0.0], dtype=np.float32),
+            category_policy=CategoryPolicy.from_clusters([[np.int64(3), 1], (np.int32(2),)])),
+    }
+
+
+@pytest.mark.parametrize("key", ["top-level", "nested", "clusters"])
+def test_config_built_in_python_echo_reloads_to_an_equal_config(key):
+    cfg = _numpy_configs()[key]
+    echo = json.loads(json.dumps(cfg.echo()))
+    assert CampaignConfig.from_json(echo) == replace(cfg, workers=1)
+    assert echo == CampaignConfig.from_json(echo).echo()
+
+
+def test_numpy_valued_permanent_config_writes_the_plain_config_report(tmp_path):
+    cfg = _numpy_configs()["nested"]
+    plain = CampaignConfig.from_json(cfg.echo())
+    run_permanent(cfg, tmp_path / "numpy")
+    run_permanent(plain, tmp_path / "plain")
+    for name in ("report.json", "injections.csv", "occupancy_series.csv"):
+        assert _read_bytes(tmp_path / "numpy" / name) == _read_bytes(tmp_path / "plain" / name)
 
 
 def test_config_validation():
@@ -134,6 +227,10 @@ def test_config_rejects_non_object_sections(doc):
     {"scene": {"width": -5}},
     {"iou_threshold": 10**400},
     {"severity_levels": [0.05, 10**400]},
+    {"scene": {"object_count": [0, 10**20]}},
+    {"scene": {"size_range": [8, 10**20]}},
+    {"scene": {"object_count": [0, MAX_SCENE_SIDE ** 2 + 1]}},
+    {"scene": {"size_range": [8, MAX_SCENE_SIDE + 1]}},
 ])
 def test_config_rejects_out_of_range_values(doc):
     with pytest.raises(ConfigError):
@@ -149,10 +246,13 @@ def test_override_does_not_hide_a_bad_document_value():
 
 
 def test_scene_side_is_bounded_at_load():
-    side = {"seed": 1, "scene": {"width": MAX_SCENE_SIDE, "height": MAX_SCENE_SIDE}}
+    side = {"seed": 1, "scene": {"width": MAX_SCENE_SIDE, "height": MAX_SCENE_SIDE,
+                                 "size_range": [8, MAX_SCENE_SIDE],
+                                 "object_count": [0, MAX_SCENE_SIDE ** 2]}}
     assert CampaignConfig.from_json(side).scene_spec.width == MAX_SCENE_SIDE
     for scene in ({"width": 100000, "height": 100000}, {"width": MAX_SCENE_SIDE + 1},
-                  {"height": MAX_SCENE_SIDE + 1}):
+                  {"height": MAX_SCENE_SIDE + 1}, {"size_range": [8, MAX_SCENE_SIDE + 1]},
+                  {"object_count": [0, MAX_SCENE_SIDE ** 2 + 1]}):
         with pytest.raises(ConfigError, match="at most"):
             CampaignConfig.from_json({"seed": 1, "scene": scene})
 
@@ -645,3 +745,32 @@ def test_cli_config_file_with_flag_overrides(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["n_injections"] == 8
     assert report["config"]["seed"] == 2
+
+
+@pytest.mark.parametrize("scene, key", [
+    ({"object_count": [0, 10**20]}, "object_count"),
+    ({"size_range": [8, 10**20]}, "size_range"),
+])
+def test_cli_refuses_scene_bounds_before_making_output(tmp_path, capsys, scene, key):
+    # past int64, so numpy could not even draw from the range
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scene": scene}))
+    out = tmp_path / "out"
+    assert cli.main(["transient", "--seed", "1", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err and not out.exists()
+
+
+def test_tracker_vicinity_past_int64_matches_one_past_the_scene(tmp_path):
+    # any radius of at least the larger scene side spans every axis
+    for vicinity in (10**6, 10**20):
+        run_permanent(CampaignConfig.from_json(
+            {"mode": "permanent", "seed": 20, "n_injections": 3, "emit_masks": 3,
+             "tracker": {"vicinity_px": vicinity}}), tmp_path / str(vicinity))
+    names = sorted(path.name for path in (tmp_path / str(10**6)).iterdir())
+    assert any(name.endswith(".pgm") for name in names)
+    assert names == sorted(path.name for path in (tmp_path / str(10**20)).iterdir())
+    for name in names:
+        if name != "report.json":  # which echoes the vicinity
+            assert (_read_bytes(tmp_path / str(10**6) / name)
+                    == _read_bytes(tmp_path / str(10**20) / name)), name

@@ -1,6 +1,8 @@
 """The run path loads no scipy: the CLI and one small campaign of each kind
 run in a fresh interpreter, which must end with no ``scipy`` module loaded.
-A lazy import would move the import cost from start-up into the run."""
+A lazy import would move the import cost from start-up into the run. Nor
+does importing the CLI load anything beyond the standard library, numpy
+and the package itself, so start-up cannot quietly gain a dependency."""
 
 from __future__ import annotations
 
@@ -41,5 +43,18 @@ def test_campaigns_run_without_importing_scipy(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(tmp_path / "out"), str(orig), str(corr)],
         capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_only_the_standard_library_and_numpy():
+    script = """
+import sys
+before = set(sys.modules)
+import odfault.cli
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "odfault"}))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"

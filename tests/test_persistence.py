@@ -204,6 +204,17 @@ def test_empty_windows_share_one_read_only_mask():
     assert all(out[i] is empty for i in range(t + n, len(blobs)))
 
 
+def test_vicinity_past_the_larger_side_spans_the_mask():
+    # radii from side - 1, which already spans an axis, to past int64
+    rng = np.random.default_rng(46)
+    blobs = _random_sequence(rng, frames=10, shape=(12, 12), p=0.1)
+    expected = oracle_track(blobs, 2, 4, 11, True)
+    for vicinity in (11, 12, 10**20):
+        got = track(blobs, TrackerConfig(m=2, n=4, vicinity_px=vicinity, coasting=True))
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    assert any(e.any() for e in expected)
+
+
 def test_monotonicity_in_m():
     rng = np.random.default_rng(9)
     blobs = _random_sequence(rng, frames=25, p=0.5)
