@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from odfault._rng import Stream
+
 __all__ = [
     "FP32",
     "FaultMode",
@@ -168,7 +170,9 @@ def sample_fault(
 
     The layer is sampled uniformly first, then coordinates within that
     layer's tensor, then a bit position from the policy. Deterministic
-    for a fixed seed (an int or a numpy SeedSequence).
+    for a fixed ``seed``: an int (a numpy integer too), a numpy
+    ``SeedSequence``, or the ``_rng.Seed`` a campaign derives; each draws
+    what ``np.random.default_rng(seed)`` would (see ``odfault._rng``).
     """
     if bit_policy not in BIT_POLICIES:
         raise ValueError(f"unknown bit policy {bit_policy!r}")
@@ -176,15 +180,15 @@ def sample_fault(
     shapes = catalog.shapes_for(target)
     if not shapes:
         raise ValueError(f"shape catalog has no {target.value} entries")
-    rng = np.random.default_rng(seed)
-    layer = int(rng.integers(0, len(shapes)))
-    coords = tuple(int(rng.integers(0, extent)) for extent in shapes[layer])
+    rng = Stream(seed)
+    layer = rng.integers(0, len(shapes))
+    coords = tuple(rng.integers(0, extent) for extent in shapes[layer])
     if bit_policy == "all_32":
-        bit = int(rng.integers(0, FP32.width))
+        bit = rng.integers(0, FP32.width)
     elif bit_policy == "exponent_only":
-        bit = int(rng.integers(FP32.exponent_low, FP32.exponent_high + 1))
+        bit = rng.integers(FP32.exponent_low, FP32.exponent_high + 1)
     else:
-        bit = int(rng.integers(0, FP32.exponent_low))
+        bit = rng.integers(0, FP32.exponent_low)
     return FaultDescriptor(target, layer, coords, bit, FaultMode(mode))
 
 

@@ -31,6 +31,7 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from odfault import ap as ap_mod
+from odfault._rng import Seed
 from odfault.bits import (
     BIT_POLICIES,
     FaultDescriptor,
@@ -92,8 +93,8 @@ _REPORT_COLUMNS = tuple(f.name for f in fields(SdcReport))
 CSV_COLUMNS = ("injection_id", *_FAULT_COLUMNS, "image_id", *_REPORT_COLUMNS)
 _FP_TYPES = ("class_only", "box_only", "both_or_unmatched")
 
-def _derive_seed(seed: int, stream: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=(seed, stream, index))
+def _derive_seed(seed: int, stream: int, index: int) -> Seed:
+    return Seed((seed, stream, index))
 
 
 @dataclass(frozen=True)

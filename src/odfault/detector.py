@@ -33,8 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
+from odfault._rng import Stream
 from odfault.bits import FaultDescriptor, FaultTarget, ShapeCatalog, apply_fault
-from odfault.geometry import Box, Detection, nms
+from odfault.geometry import Box, Detection, _check_integers, nms
 
 __all__ = [
     "Scene",
@@ -71,6 +72,7 @@ class SceneSpec:
     size_range: tuple[int, int] = (10, 16)
 
     def __post_init__(self):
+        _check_integers(self, ("width", "height"), ("object_count", "size_range"))
         lo, hi = self.object_count
         slo, shi = self.size_range
         if lo < 0 or hi < lo or slo < 8 or shi < slo:
@@ -195,29 +197,31 @@ def generate_scene(spec: SceneSpec, seed) -> Scene:
     Objects keep a 5-pixel gap from each other and 2 pixels from the
     border so their decode footprints never touch. Raises after bounded
     placement retries when the request cannot be packed. ``seed`` is an
-    int or a numpy SeedSequence.
+    int (a numpy integer too), a numpy ``SeedSequence``, or the
+    ``_rng.Seed`` a campaign derives; each draws what
+    ``np.random.default_rng(seed)`` would (see ``odfault._rng``).
     """
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     for _ in range(30):
-        n_objects = int(rng.integers(spec.object_count[0], spec.object_count[1] + 1))
+        n_objects = rng.integers(spec.object_count[0], spec.object_count[1] + 1)
         placed: list[tuple[int, int, int, int]] = []  # (r1, c1, r2, c2) inclusive
         categories = []
         ok = True
         for _ in range(n_objects):
             for _attempt in range(80):
-                h = int(rng.integers(spec.size_range[0], spec.size_range[1] + 1))
-                w = int(rng.integers(spec.size_range[0], spec.size_range[1] + 1))
+                h = rng.integers(spec.size_range[0], spec.size_range[1] + 1)
+                w = rng.integers(spec.size_range[0], spec.size_range[1] + 1)
                 if spec.height - h - 2 < 2 or spec.width - w - 2 < 2:
                     continue
-                r1 = int(rng.integers(2, spec.height - h - 1))
-                c1 = int(rng.integers(2, spec.width - w - 1))
+                r1 = rng.integers(2, spec.height - h - 1)
+                c1 = rng.integers(2, spec.width - w - 1)
                 r2, c2 = r1 + h - 1, c1 + w - 1
                 if all(
                     r1 > pr2 + 5 or pr1 > r2 + 5 or c1 > pc2 + 5 or pc1 > c2 + 5
                     for pr1, pc1, pr2, pc2 in placed
                 ):
                     placed.append((r1, c1, r2, c2))
-                    categories.append(int(rng.integers(0, len(CATEGORY_INTENSITIES))))
+                    categories.append(rng.integers(0, len(CATEGORY_INTENSITIES)))
                     break
             else:
                 ok = False
@@ -238,22 +242,22 @@ def generate_sequence(seed, n_frames: int = 60, width: int = 64, height: int = 6
 
     Objects live in disjoint horizontal lanes (so they never interact) and
     translate a few pixels per frame, giving the persistence tracker real
-    motion to follow.
+    motion to follow. ``seed`` takes the kinds ``generate_scene`` takes.
     """
-    rng = np.random.default_rng(seed)
-    n_objects = int(rng.integers(2, 4))
+    rng = Stream(seed)
+    n_objects = rng.integers(2, 4)
     lanes = []
     row = 3
     for _ in range(n_objects):
-        h = int(rng.integers(8, 12))
+        h = rng.integers(8, 12)
         if row + h > height - 3:
             break
-        w = int(rng.integers(10, 16))
+        w = rng.integers(10, 16)
         if width - w - 1 <= 2:  # no room for the lane's object to start
             break
-        category = int(rng.integers(0, len(CATEGORY_INTENSITIES)))
-        x = int(rng.integers(2, width - w - 1))
-        velocity = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        category = rng.integers(0, len(CATEGORY_INTENSITIES))
+        x = rng.integers(2, width - w - 1)
+        velocity = (-3, -2, -1, 1, 2, 3)[rng.integers(0, 6)]  # the draw of numpy's choice
         lanes.append({"row": row, "h": h, "w": w, "cat": category, "x": x, "v": velocity})
         row += h + 6
     if not lanes:
@@ -594,32 +598,44 @@ def infer(
 
 
 def receptive_field(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
-                    golden: InferenceTrace) -> bytes | None:
-    """The scene pixels a neuron fault's resumed pass can read, as raw bytes:
-    those within ``2 * sum(kh // 2)`` rows and ``2 * sum(kw // 2)`` columns
-    of the faulted pixel, summed over the model's layers and clipped to the
-    scene (a 9x9 patch for the reference model). None for a weight fault,
-    whose one-filter part spans the whole plane, and when ``golden`` holds
-    Inf or NaN, since ``_resume`` then takes NaN/Inf flags over whole layers.
+                    golden: InferenceTrace) -> tuple | None:
+    """The scene pixels a neuron fault's resumed pass can read, as the key
+    ``(row0, row1, col0, col1, raw bytes)``: the pixels within R + R_after
+    of the faulted pixel, clipped to the scene, where R is the sum of every
+    layer's kernel radius (``kh // 2`` for rows, ``kw // 2`` for columns)
+    and R_after the sum over the layers after the fault's. For the
+    reference model (radii 1, 0, 0, 0, 1) that is a 7x7 patch for a fault
+    in L1-L4 and 5x5 for L5. The clipped bounds are part of the key, since
+    patches clipped in different ways can hold equal bytes. None for a
+    weight fault, whose one-filter part spans the whole plane, and when
+    ``golden`` holds Inf or NaN, since ``_resume`` then takes NaN/Inf flags
+    over whole layers.
 
-    For one fault, two scenes of one size with equal fields give passes
-    that take the same path through ``_resume`` up to decode, with equal
-    NaN/Inf flags. Each golden value at pixel p depends only on the scene
-    within the summed radii of p, since sparse taps, every tap and twin
-    copies give the same bits over finite input, and zero padding depends
-    on p alone. The patched value reads golden at the faulted pixel. Every
-    later window lies within the summed radii of that pixel, and it reads
-    golden values within the same radii again. The comparisons with golden,
-    the gate comparison included, read the same windows. Windows and
-    clipping depend only on the pixel, which is fixed for a fault. A pass
-    that decodes is not covered: decode reads the whole score map.
+    For one fault, two scenes of one size with equal keys give passes that
+    take the same path through ``_resume`` up to decode, with equal NaN/Inf
+    flags. Golden's layer l at pixel p depends only on the scene within the
+    summed radii of layers 1..l of p, since sparse taps, every tap and twin copies
+    give the same bits over finite input, and zero padding depends on p
+    alone. The patched value reads golden at the faulted pixel, within the
+    radii of layers 1..L. At a later layer l the changed window lies within
+    the radii of layers L+1..l of that pixel; recomputing it reads layer
+    l-1 one radius further out, and comparing it with golden reads layer l
+    over the window itself, the gate comparison at the last layer
+    included. The widest read is that last comparison: golden's last layer,
+    within R_after of the pixel, reads the scene within R further out.
+    Windows and clipping depend only on the pixel, which is fixed for a
+    fault. A pass that decodes is not covered: decode reads the whole
+    score map.
     """
     if fault.target != FaultTarget.NEURON or golden.nan_seen or golden.inf_seen:
         return None
     _, row, col = fault.tensor_coords
-    rows = 2 * sum(layer.weights.shape[2] // 2 for layer in model.layers)
-    cols = 2 * sum(layer.weights.shape[3] // 2 for layer in model.layers)
-    return scene.pixels[max(row - rows, 0):row + rows + 1, max(col - cols, 0):col + cols + 1].tobytes()
+    kernels = [layer.weights.shape[2:] for layer in model.layers]
+    after = kernels[fault.layer_index + 1:]
+    rows, cols = (sum(k[axis] // 2 for k in kernels) + sum(k[axis] // 2 for k in after) for axis in (0, 1))
+    row0, row1 = max(row - rows, 0), min(row + rows + 1, scene.height)
+    col0, col1 = max(col - cols, 0), min(col + cols + 1, scene.width)
+    return row0, row1, col0, col1, scene.pixels[row0:row1, col0:col1].tobytes()
 
 
 def _changed(part: np.ndarray, golden: np.ndarray, channels: list[int], window, golden_nan: bool):

@@ -171,3 +171,24 @@ def mask_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mask_popcount(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
+
+
+def _check_integers(config, names=(), pairs=()) -> None:
+    """Raise a TypeError naming ``config``'s class and field unless each
+    field in ``names`` holds an integer and each in ``pairs`` a tuple, list
+    or array of two. An integer is an int or a numpy integer, never a bool,
+    as the campaign config's parsers rule."""
+    for name in (*names, *pairs):
+        value = getattr(config, name)
+        if name in pairs:
+            kind = "a pair of integers"
+            ok = (isinstance(value, (tuple, list, np.ndarray)) and len(value) == 2
+                  and all(map(_is_integer, value)))
+        else:
+            kind, ok = "an integer", _is_integer(value)
+        if not ok:
+            raise TypeError(f"{type(config).__name__}.{name}: expected {kind}, got {value!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

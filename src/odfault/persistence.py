@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from odfault.geometry import mask_popcount
+from odfault.geometry import _check_integers, mask_popcount
 
 __all__ = [
     "TrackerConfig",
@@ -34,6 +34,7 @@ class TrackerConfig:
     coasting: bool = True
 
     def __post_init__(self):
+        _check_integers(self, ("m", "n", "vicinity_px"))
         if not 1 <= self.m <= self.n:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         if self.vicinity_px < 0:

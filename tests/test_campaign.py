@@ -125,10 +125,7 @@ def test_config_built_in_python_rejects_wrong_kinds_in_every_field(name, value):
 
 @pytest.mark.parametrize("kwargs, name", [
     ({"fixed_scene": "false"}, "fixed_scene"),
-    ({"tracker": TrackerConfig(m=2.5)}, "tracker.m"),
     ({"tracker": TrackerConfig(coasting="no")}, "tracker.coasting"),
-    ({"scene_spec": SceneSpec(width=48.0)}, "scene_spec.width"),
-    ({"scene_spec": SceneSpec(size_range=[10, 16.0])}, "scene_spec.size_range"),
     ({"category_policy": CategoryPolicy("clusters", ({1, 2},))}, "category_policy.clusters"),
     ({"scene_spec": None}, "scene_spec.width"),
     ({"tracker": (10, 15, 50, True)}, "tracker.m"),
@@ -136,6 +133,29 @@ def test_config_built_in_python_rejects_wrong_kinds_in_every_field(name, value):
 def test_config_built_in_python_checks_nested_and_bool_fields(kwargs, name):
     with pytest.raises(ConfigError, match=re.escape(name)):
         CampaignConfig(seed=1, n_injections=6, **kwargs)
+
+
+@pytest.mark.parametrize("build, kwargs, name", [
+    (TrackerConfig, {"m": None}, "TrackerConfig.m"),
+    (TrackerConfig, {"m": 2.5}, "TrackerConfig.m"),
+    (TrackerConfig, {"n": True}, "TrackerConfig.n"),
+    (TrackerConfig, {"vicinity_px": "5"}, "TrackerConfig.vicinity_px"),
+    (SceneSpec, {"width": 48.0}, "SceneSpec.width"),
+    (SceneSpec, {"height": np.float64(40)}, "SceneSpec.height"),
+    (SceneSpec, {"object_count": 5}, "SceneSpec.object_count"),
+    (SceneSpec, {"object_count": (1, 2, 3)}, "SceneSpec.object_count"),
+    (SceneSpec, {"size_range": [10, 16.0]}, "SceneSpec.size_range"),
+    (SceneSpec, {"size_range": (False, 16)}, "SceneSpec.size_range"),
+])
+def test_nested_configs_name_the_field_of_a_wrong_kind(build, kwargs, name):
+    # checked before any comparison, which would fail with a bare TypeError
+    with pytest.raises(TypeError, match=re.escape(name)):
+        build(**kwargs)
+
+
+def test_nested_configs_accept_numpy_integers_and_arrays():
+    assert TrackerConfig(m=np.int64(3), n=np.uint8(5), vicinity_px=np.int16(0)).n == 5
+    assert SceneSpec(width=np.int32(48), object_count=np.array([1, 3]), size_range=[9, 14]).width == 48
 
 
 def _numpy_configs():

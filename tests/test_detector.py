@@ -642,27 +642,47 @@ def test_neuron_faults_cover_the_whole_scene(size):
     assert max(rows) >= size - 8
 
 
-def test_receptive_field_is_the_patch_within_twice_the_summed_kernel_radii():
+def _patch(scene, row0, row1, col0, col1):
+    return row0, row1, col0, col1, scene.pixels[row0:row1, col0:col1].tobytes()
+
+
+def test_receptive_field_is_the_patch_within_the_exact_radius_of_the_fault_layer():
     # the reference model's 3x3, 1x1, 1x1, 1x1 and 3x3 layers sum to a
-    # radius of 2, so a neuron fault's pass reads a 9x9 patch, clipped to
-    # the scene at the border
+    # radius of 2; a fault in L1-L4 has the 3x3 L5 after it, so its pass
+    # reads a 7x7 patch, and a fault in L5 a 5x5 one, clipped to the scene
+    # at the border
     scene = generate_scene(SPEC, seed=0)
     golden = infer(MODEL, scene)
     inside = receptive_field(MODEL, scene, _neuron_fault(2, (0, 30, 20), 30), golden)
-    assert inside == scene.pixels[26:35, 16:25].tobytes()
+    assert inside == _patch(scene, 27, 34, 17, 24)
+    last = receptive_field(MODEL, scene, _neuron_fault(4, (1, 30, 20), 30), golden)
+    assert last == _patch(scene, 28, 33, 18, 23)
     corner = receptive_field(MODEL, scene, _neuron_fault(0, (1, 0, 63), 30), golden)
-    assert corner == scene.pixels[0:5, 59:64].tobytes()
+    assert corner == _patch(scene, 0, 4, 60, 64)
+
+
+def test_receptive_field_keys_on_the_clipped_bounds():
+    # a uniform scene gives equal bytes for patches clipped alike, so only
+    # the bounds tell a border fault's patch from an inner one's
+    scene = Scene(np.full((16, 16), 0.25, dtype=np.float32), ())
+    golden = infer(MODEL, scene)
+    fields = [receptive_field(MODEL, scene, _neuron_fault(4, (0, row, col), 30), golden)
+              for row, col in ((0, 5), (4, 0), (8, 8), (9, 9))]
+    assert fields[0][4] == fields[1][4] and fields[0] != fields[1]
+    assert fields[2][4] == fields[3][4] and fields[2] != fields[3]
 
 
 def test_receptive_field_widens_with_a_5x5_layer():
+    # radii 2, 0, 0, 0, 1 sum to 3; an L4 fault adds L5's 1, so its pass
+    # reads the scene within 4 rows and columns of the pixel
     wide = np.zeros((4, 1, 5, 5), dtype=np.float32)
     wide[:, :, 1:4, 1:4] = MODEL.layers[0].weights
     model = DetectorModel((replace(MODEL.layers[0], weights=wide), *MODEL.layers[1:]))
     scene = generate_scene(SPEC, seed=0)
     golden = infer(model, scene)
     fault = _neuron_fault(3, (0, 30, 20), 30)
-    assert receptive_field(model, scene, fault, golden) == scene.pixels[24:37, 14:27].tobytes()
-    for row, inside in ((36, True), (37, False)):  # 6 rows below the pixel, then 7
+    assert receptive_field(model, scene, fault, golden) == _patch(scene, 26, 35, 16, 25)
+    for row, inside in ((34, True), (35, False)):  # 4 rows below the pixel, then 5
         pixels = scene.pixels.copy()
         pixels[row, 20] += np.float32(0.5)
         moved = Scene(pixels, scene.objects)

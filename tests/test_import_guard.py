@@ -1,8 +1,10 @@
-"""The run path loads no scipy: the CLI and one small campaign of each kind
-run in a fresh interpreter, which must end with no ``scipy`` module loaded.
-A lazy import would move the import cost from start-up into the run. Nor
-does importing the CLI load anything beyond the standard library, numpy
-and the package itself, so start-up cannot quietly gain a dependency."""
+"""The run path loads neither scipy nor ``numpy.random``: the CLI and one
+small campaign of each kind run in a fresh interpreter, which must end with
+no ``scipy`` or ``numpy.random`` module loaded (scenes and faults draw from
+``odfault._rng``). A lazy import would move the import cost from start-up
+into the run. Nor does importing the CLI load anything beyond the standard
+library, numpy and the package itself, so start-up cannot quietly gain a
+dependency."""
 
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ for argv in (["transient", "--seed", "1", "--n-injections", "3", "--out", out + 
               "--emit-masks", "1", "--out", out + "/p"],
              ["ingest", "--seed", "1", "--orig", orig, "--corr", corr, "--out", out + "/i"]):
     assert cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "random"]))
 """
 
 
@@ -34,7 +37,7 @@ def _record(image_id, boxes):
     })
 
 
-def test_campaigns_run_without_importing_scipy(tmp_path):
+def test_campaigns_run_without_importing_scipy_or_numpy_random(tmp_path):
     orig, corr = tmp_path / "orig.ndjson", tmp_path / "corr.ndjson"
     orig.write_text(_record("a", [[2.0, 2.0, 20.0, 20.0], [30.0, 30.0, 50.0, 50.0]]) + "\n")
     # two detections compete for one ground truth, so the solver runs too

@@ -5,8 +5,9 @@ against the dense every-tap reference, AP against the
 per-threshold greedy reference, mutated record files at the CLI, record
 parsing against the ``isinstance`` reference, image scoring against
 ``assign`` and ``severity`` called directly, the in-house assignment
-solver, component labeller and tracker dilation against scipy, and
-byte-identical outputs at one and two workers."""
+solver, component labeller and tracker dilation against scipy,
+byte-identical outputs at one and two workers, and the in-house random
+stream and the samplers that draw from it against numpy's."""
 
 from __future__ import annotations
 
@@ -29,14 +30,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ap_reference  # noqa: E402
 import records_reference  # noqa: E402
+from rng_reference import SPANS, NumpyStream  # noqa: E402
 from dense_reference import dense_conv, dense_infer, same_but_nan_payload  # noqa: E402
-from odfault import ap, cli, detector  # noqa: E402
-from odfault.bits import FaultDescriptor, FaultMode, FaultTarget  # noqa: E402
+from odfault import ap, bits, cli, detector  # noqa: E402
+from odfault._rng import Seed, Stream  # noqa: E402
+from odfault.bits import BIT_POLICIES, FaultDescriptor, FaultMode, FaultTarget, sample_fault  # noqa: E402
 from odfault.campaign import (  # noqa: E402
-    CampaignConfig, _score, run_permanent, run_transient)
+    CampaignConfig, _derive_seed, _score, run_permanent, run_transient)
 from odfault.detector import (  # noqa: E402
-    ConvLayer, DetectorModel, Scene, SceneSpec, _components, _convolve, generate_scene, infer,
-    receptive_field, reference_model, shape_catalog)
+    ConvLayer, DetectorModel, Scene, SceneSpec, _components, _convolve, generate_scene,
+    generate_sequence, infer, receptive_field, reference_model, shape_catalog)
 from odfault.geometry import (  # noqa: E402
     Box, Detection, _ious, iou, mask_diff, mask_popcount, rasterize)
 from odfault.matching import (  # noqa: E402
@@ -404,8 +407,12 @@ def _field_pairs(draw):
     fault = FaultDescriptor(FaultTarget.NEURON, layer, (channel, row, col),
                             draw(st.one_of(st.just(30), _model_bits)),
                             draw(st.sampled_from(list(FaultMode))))
-    reach = sum(conv.weights.shape[2] // 2 for conv in layers)
-    radius = draw(st.one_of(st.just(reach), st.integers(reach, 2 * reach + 1)))
+    # the exact radius: every layer's, plus those of the layers after the
+    # fault's; scenes that share one pixel less have unequal fields unless
+    # a key narrower than the pass's reads makes them equal
+    radii = [conv.weights.shape[2] // 2 for conv in layers]
+    reach = sum(radii) + sum(radii[layer + 1:])
+    radius = draw(st.one_of(st.just(reach), st.just(reach - 1), st.integers(reach, 2 * sum(radii) + 1)))
     scenes = [np.array(draw(st.lists(_field_pixels, min_size=height * width,
                                      max_size=height * width)),
                        dtype=np.float32).reshape(height, width) for _ in range(2)]
@@ -806,3 +813,60 @@ def test_score_matches_assign_and_severity(pair, gts, policy, iou_threshold, dim
         a_fn_vac=mask_popcount(mask_diff(raster_orig, raster_corr)) / orig_area if orig_area
         else 0.0)
     assert repr(scored.report) == repr(expected)
+
+
+# Entropies of one word up to more words than SeedSequence's pool of 4, and
+# (low, high) pairs over every branch of the bounded draw, from lows of
+# either sign; a list of them interleaves 32-bit and 64-bit draws.
+_entropies = st.one_of(st.integers(0, 2**140), st.lists(st.integers(0, 2**140), max_size=7).map(tuple))
+
+
+@st.composite
+def _bounded_draws(draw):
+    span = draw(st.one_of(st.sampled_from(SPANS), st.integers(1, 2**32 + 2), st.integers(1, 2**64)))
+    low = draw(st.one_of(st.just(min(0, 2**63 - span)), st.integers(-2**63, 2**63 - span)))
+    return low, low + span
+
+
+@settings(max_examples=300, deadline=None)
+@given(entropy=_entropies, draws=st.lists(_bounded_draws(), max_size=40))
+def test_stream_matches_numpy(entropy, draws):
+    ours, oracle = Stream(Seed(entropy)), np.random.default_rng(np.random.SeedSequence(entropy))
+    for low, high in draws:
+        assert ours.integers(low, high) == int(oracle.integers(low, high))
+
+
+_CATALOG = shape_catalog(MODEL, 64, 64)
+_sampler_seeds = st.one_of(
+    st.integers(0, 2**70),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.tuples(st.integers(0, 2**40), st.integers(0, 2), st.integers(0, 10**6)).map(
+        lambda t: _derive_seed(*t)),
+    _entropies.map(np.random.SeedSequence),
+)
+
+
+def _outcome(make):
+    """What ``make()`` returns, or the kind of error it raises."""
+    try:
+        return make()
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_sampler_seeds, spec=st.builds(SceneSpec, st.integers(12, 64), st.integers(12, 64),
+                                           _ordered_pair(0, 5), _ordered_pair(8, 14)),
+       side=st.integers(16, 64), target=st.sampled_from(list(FaultTarget)),
+       policy=st.sampled_from(BIT_POLICIES))
+def test_samplers_match_the_numpy_driven_stream(seed, spec, side, target, policy):
+    def samples():
+        scene = _outcome(lambda: generate_scene(spec, seed))
+        frames = _outcome(lambda: generate_sequence(seed, n_frames=4, width=side, height=side))
+        return (scene if isinstance(scene, type) else (scene.pixels.tobytes(), scene.objects),
+                frames if isinstance(frames, type) else [(f.pixels.tobytes(), f.objects) for f in frames],
+                sample_fault(_CATALOG, target, policy, seed))
+
+    ours = samples()
+    with mock.patch.object(detector, "Stream", NumpyStream), mock.patch.object(bits, "Stream", NumpyStream):
+        assert samples() == ours
