@@ -15,8 +15,10 @@ geometry is involved by design.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,7 +42,7 @@ __all__ = [
 MAP_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrCurve:
     """(recall, precision) points in confidence-descending evaluation order."""
 
@@ -48,7 +50,7 @@ class PrCurve:
     category: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApResult:
     per_category: dict[int, float]
     mean: float
@@ -57,71 +59,78 @@ class ApResult:
 def _category_outcomes(preds_by_image, gts_by_image, thresholds):
     """Yield ``(category, n_gt, hits)`` for each ground-truth category, ascending.
 
-    The category's detections are ranked once by confidence (descending),
-    then image id and position, and intersected once with the ground truth
-    of their image; only ``(gt number, IoU)`` pairs with IoU above 0 and at
-    or above the lowest threshold are kept. ``hits[i]`` flags, in rank
-    order, the detections that match at ``thresholds[i]``: each in turn
-    takes the unmatched ground truth of its image with the highest IoU at or
-    above the threshold, the lowest index on ties.
-    """
-    # no threshold matches a pair below the lowest one
-    floor = min(thresholds, default=0.0)
-    images = sorted(preds_by_image, key=str)
+    ``hits[i]`` flags, in rank order, the detections that match at
+    ``thresholds[i]``. The ranking is by confidence (descending), then
+    ``str(image_id)``, then position in the image's list. In that order each
+    detection takes the unmatched ground truth of its own image and category
+    with the highest IoU at or above the threshold, the lowest index on ties.
 
-    for category in sorted({g.category for gts in gts_by_image.values() for g in gts}):
-        category_gts = {}
-        for image_id, gts in gts_by_image.items():
-            gts = [g for g in gts if g.category == category]
-            if gts:
-                category_gts[image_id] = gts
-        confidences, image_ranks, positions = [], [], []
-        cands, n_numbered = {}, 0
-        # equal strings share a rank, so their detections fall through to
-        # position, as in a sort by (str(image_id), idx)
-        for image_rank, (_, group) in enumerate(groupby(images, key=str)):
-            for image_id in group:
-                entries = [(idx, det) for idx, det in enumerate(preds_by_image[image_id])
-                           if det.category == category]
-                gts = category_gts.get(image_id)
-                if entries and gts:
-                    # ground truths are numbered across images in index order,
-                    # so ties between one detection's pairs go to the lowest
-                    gt_boxes = [gt.box for gt in gts]
-                    for i, (_, det) in enumerate(entries, start=len(confidences)):
-                        pairs = [(j, value) for j, value in enumerate(_ious(det.box, gt_boxes),
-                                                                      start=n_numbered)
-                                 if value >= floor and value > 0.0]
-                        if pairs:
-                            cands[i] = pairs
-                    n_numbered += len(gts)
-                for idx, det in entries:
-                    confidences.append(det.confidence)
-                    image_ranks.append(image_rank)
-                    positions.append(idx)
-        # a stable sort, so exact ties keep the order above
+    The matching runs image by image, which is exact. A detection only takes
+    ground truth of its own image, so which of an image's ground truths are
+    taken depends on the order of that image's detections alone; and within
+    one image, whose positions are distinct, the ranking reduces to
+    confidence, then position. That holds even when two image ids share one
+    string, since each keeps its own ground truth. So each image's detections
+    are matched in ``(-confidence, position)`` order, with one set of taken
+    ground truths per image and threshold. The matched entries are flat
+    indices into the category's list, and one ranking per category scatters
+    them into rank order.
+    """
+    # no threshold matches a pair below the lowest one, nor a pair of IoU 0,
+    # since a match must beat a best IoU that starts at 0: neither is kept
+    floor = min(thresholds, default=0.0)
+    n_gt = Counter(gt.category for gts in gts_by_image.values() for gt in gts)
+    # per category: confidences, image ranks and positions in corpus order,
+    # and the flat indices into them matched at each threshold
+    ranked = {category: ([], [], []) for category in n_gt}
+    matched_at = {category: [[] for _ in thresholds] for category in n_gt}
+
+    # equal strings share a rank, so their detections fall through to
+    # position, as in a sort by (str(image_id), idx)
+    images = sorted(preds_by_image, key=str)
+    for image_rank, (_, group) in enumerate(groupby(images, key=str)):
+        for image_id in group:
+            boxes_of, cands_of = {}, {}
+            for gt in gts_by_image.get(image_id, ()):
+                boxes_of.setdefault(gt.category, []).append(gt.box)
+            for idx, det in enumerate(preds_by_image[image_id]):
+                if det.category not in ranked:
+                    continue
+                confidences, image_ranks, positions = ranked[det.category]
+                gt_boxes = boxes_of.get(det.category)
+                if gt_boxes:
+                    pairs = [(j, value) for j, value in enumerate(_ious(det.box, gt_boxes))
+                             if value >= floor and value > 0.0]
+                    if pairs:
+                        cands_of.setdefault(det.category, []).append(
+                            (det.confidence, len(confidences), pairs))
+                confidences.append(det.confidence)
+                image_ranks.append(image_rank)
+                positions.append(idx)
+            for category, cands in cands_of.items():
+                # stable, so equal confidences keep position order
+                cands.sort(key=itemgetter(0), reverse=True)
+                for threshold, matched in zip(thresholds, matched_at[category]):
+                    used = set()
+                    for _, flat, pairs in cands:
+                        best_iou, best_j = 0.0, -1
+                        for j, value in pairs:
+                            if value >= threshold and value > best_iou and j not in used:
+                                best_iou, best_j = value, j
+                        if best_j >= 0:
+                            used.add(best_j)
+                            matched.append(flat)
+
+    for category in sorted(ranked):
+        confidences, image_ranks, positions = ranked.pop(category)
+        # a stable sort, so exact ties keep the corpus order
         order = np.lexsort((positions, image_ranks, -np.array(confidences, dtype=np.float64)))
-        n_ranked = len(order)
-        rank_of = np.empty(n_ranked, dtype=np.int64)
-        rank_of[order] = np.arange(n_ranked)
-        matchable = sorted(zip(rank_of[list(cands)].tolist(), cands.values()))
-        del confidences, image_ranks, positions, order, rank_of, cands
         hits = []
-        for threshold in thresholds:
-            used = set()
-            matched = []
-            for k, pairs in matchable:
-                best_iou, best_j = 0.0, -1
-                for j, value in pairs:
-                    if value >= threshold and value > best_iou and j not in used:
-                        best_iou, best_j = value, j
-                if best_j >= 0:
-                    used.add(best_j)
-                    matched.append(k)
-            hit = np.zeros(n_ranked, dtype=bool)
-            hit[matched] = True
-            hits.append(hit)
-        yield category, sum(len(gts) for gts in category_gts.values()), hits
+        for flat in matched_at.pop(category):
+            hit = np.zeros(len(order), dtype=bool)
+            hit[flat] = True
+            hits.append(hit[order])
+        yield category, n_gt[category], hits
 
 
 def _pr_arrays(hit, n_gt):

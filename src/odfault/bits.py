@@ -75,7 +75,7 @@ class FaultTarget(str, Enum):
     WEIGHT = "weight"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultDescriptor:
     """Where and what to corrupt: one bit of one tensor element.
 

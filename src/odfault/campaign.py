@@ -320,7 +320,7 @@ def _counts(cfg: CampaignConfig, dets, gts) -> tuple[int, int, int]:
     return outcome.tp, outcome.fp, outcome.fn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Scored:
     """One scored image: its ``CSV_COLUMNS`` row and its entry in the AP corpora.
 
@@ -657,7 +657,11 @@ def run_permanent(cfg: CampaignConfig, out_dir) -> dict:
 
 
 def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict:
-    """Score externally produced detection record pairs."""
+    """Score externally produced detection record pairs.
+
+    A fault corrupts detections, not the scene, so both files must give each
+    image the same size and ground truth.
+    """
     _make_out_dir(out_dir)
     # the corrupted file mostly repeats lines of the original: those are parsed
     # once, and their records are the very same objects in both lists
@@ -684,6 +688,8 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
         dims = (orig.width, orig.height)
         if dims != (corr.width, corr.height):
             raise DataError(f"image {image_id!r}: dimensions differ between files")
+        if orig.ground_truth != corr.ground_truth:
+            raise DataError(f"image {image_id!r}: ground truth differs between files")
         gts = list(orig.ground_truth)
         orig_dets = list(orig.detections)
         scored.append(_score(cfg, _counts(cfg, orig_dets, gts), dims,

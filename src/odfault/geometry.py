@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Continuous axis-aligned rectangle. Degenerate (zero-area) boxes are legal."""
 
@@ -59,7 +59,7 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A predicted or ground-truth object: box, integer category, confidence."""
 

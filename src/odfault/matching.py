@@ -72,7 +72,7 @@ class CategoryPolicy:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchOutcome:
     """Per-image TP/FP/FN counts plus the accepted (pred, gt, iou) pairs."""
 

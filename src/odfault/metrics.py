@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageEval:
     """Counts of one image under fault-free and corrupted inference."""
 
@@ -49,7 +49,7 @@ class ImageEval:
                 raise ValueError(f"counts must be three non-negative integers, got {counts}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SdcReport:
     """Verdict plus severity features for one injection on one image.
 

@@ -25,7 +25,7 @@ class DataError(Exception):
     """Malformed or inconsistent input data (CLI exit code 3)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionRecord:
     image_id: object
     width: int

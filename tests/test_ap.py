@@ -177,9 +177,12 @@ def test_geometry_path_single_image():
     assert result.mean == result.per_category[1]
 
 
-def test_geometry_path_gt_matched_once():
+@pytest.mark.parametrize("step", [1, -1])
+def test_geometry_path_gt_matched_once(step):
+    # whichever comes first in the image, the more confident duplicate takes the gt
     gts = {"img": [_det(0, 0, 10, 10, cat=0, conf=1.0)]}
-    preds = {"img": [_det(0, 0, 10, 10, cat=0, conf=0.9), _det(0, 0, 10, 10, cat=0, conf=0.8)]}
+    preds = {"img": [_det(0, 0, 10, 10, cat=0, conf=0.9),
+                     _det(0, 0, 10, 10, cat=0, conf=0.8)][::step]}
     result = average_precision(preds, gts, 0.5, interpolation="area")
     # second duplicate prediction is an FP; envelope keeps AP at 1.0
     assert result.mean == pytest.approx(1.0)
@@ -196,10 +199,12 @@ def test_iou_ties_go_to_the_lowest_gt_index():
     assert pr_curves(preds, gts, 0.6)[0].points == ((0.0, 0.0), (0.5, 0.5))
 
 
-def test_each_image_matches_its_own_ground_truth():
-    # gt 0 of "a" and gt 0 of "b" are different objects, so both predictions match
-    gts = {"a": [_det(0, 0, 10, 10, conf=1.0)], "b": [_det(0, 0, 10, 10, conf=1.0)]}
-    preds = {"a": [_det(0, 0, 10, 10, conf=0.9)], "b": [_det(0, 0, 10, 10, conf=0.8)]}
+@pytest.mark.parametrize("a, b", [("a", "b"), (1, "1")])
+def test_each_image_matches_its_own_ground_truth(a, b):
+    # gt 0 of a and gt 0 of b are different objects, so both predictions
+    # match, even when the two ids share one string
+    gts = {a: [_det(0, 0, 10, 10, conf=1.0)], b: [_det(0, 0, 10, 10, conf=1.0)]}
+    preds = {a: [_det(0, 0, 10, 10, conf=0.9)], b: [_det(0, 0, 10, 10, conf=0.8)]}
     assert pr_curves(preds, gts)[0].points == ((0.5, 1.0), (1.0, 1.0))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import pickle
 import re
 import subprocess
 import sys
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 from odfault import campaign, cli
+from odfault.ap import ApResult, PrCurve
+from odfault.bits import FaultDescriptor, FaultMode, FaultTarget
 from odfault.campaign import (
     _CONFIG_FIELDS,
     CSV_COLUMNS,
@@ -31,7 +34,9 @@ from odfault.campaign import (
     write_pgm,
 )
 from odfault.detector import SceneSpec, generate_scene, infer, reference_model
-from odfault.matching import CategoryPolicy
+from odfault.geometry import Box, Detection
+from odfault.matching import CategoryPolicy, MatchOutcome
+from odfault.metrics import ImageEval, SdcReport
 from odfault.persistence import TrackerConfig, track
 from odfault.records import DataError, DetectionRecord, record_from_trace, write_records
 
@@ -460,6 +465,32 @@ def test_permanent_memory_grows_only_with_changed_frames(tmp_path, monkeypatch):
     assert (peak(150) - short) / 90 < 32 * 1024
 
 
+def _record_per_class():
+    box = Box(1.0, 2.0, 20.0, 30.0)
+    det = Detection(box, 2, 0.75)
+    fault = FaultDescriptor(FaultTarget.WEIGHT, 3, (1, 0, 2, 2), 30, FaultMode.TRANSIENT_FLIP)
+    report = SdcReport("sdc", 1, 0.5, 0.9, 0.8, 532.0, 400.0, 12.5, 3.0)
+    return [
+        box, det, fault, report,
+        DetectionRecord("a", 64, 48, (det,), (Detection(box, 2),), nan_flag=True),
+        ImageEval("a", (1, 0, 0), (1, 1, 0), inf_flag=True),
+        MatchOutcome(1, 1, 0, ((0, 0, 1.0),)),
+        PrCurve(((1.0, 1.0), (1.0, 0.5)), 2),
+        ApResult({2: 1.0}, 1.0),
+        campaign._Scored(7, 7, fault, 0, report, [det], [det], [], {"background": 1}),
+    ]
+
+
+@pytest.mark.parametrize("record", _record_per_class(), ids=lambda r: type(r).__name__)
+def test_per_detection_records_are_slotted(record):
+    # a record made per detection, image or injection holds no __dict__: a
+    # Detection with its Box takes 120 bytes so, 200 with a __dict__ each
+    # (its floats not counted)
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert replace(record) == record
+
+
 @pytest.mark.parametrize("side, workers, sizes", [
     (64, 1, [32, 32, 32, 4]),
     (64, 4, [25, 25, 25, 25]),
@@ -546,8 +577,6 @@ def test_ingest_inf_flag_makes_due(tmp_path):
 
 
 def test_ingest_added_fp_is_sdc_with_positive_delta(tmp_path):
-    from odfault.geometry import Box, Detection
-
     def mutate(records):
         out = list(records)
         first = out[0]
@@ -573,6 +602,26 @@ def test_ingest_mismatched_ids_listed(tmp_path):
     corr_path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(DataError, match="img5"):
         ingest_and_score(orig_path, corr_path, _ingest_cfg(), tmp_path / "out")
+
+
+@pytest.mark.parametrize("corr_changes, message", [
+    ({"width": 65}, "image 'a': dimensions differ between files"),
+    ({"ground_truth": ({"bbox": [40, 40, 60, 60], "category": 0},)},
+     "image 'a': ground truth differs between files"),
+])
+def test_cli_ingest_refuses_pairs_that_disagree_on_the_image(tmp_path, capsys, corr_changes,
+                                                             message):
+    # both files describe one image: its size and its ground truth must agree
+    orig = {"image_id": "a", "width": 64, "height": 64,
+            "detections": [{"bbox": [2, 2, 20, 20], "category": 0, "confidence": 0.9}],
+            "ground_truth": [{"bbox": [2, 2, 20, 20], "category": 0}]}
+    paths = []
+    for name, record in (("orig", orig), ("corr", {**orig, **corr_changes})):
+        paths.append(tmp_path / f"{name}.ndjson")
+        paths[-1].write_text(json.dumps(record) + "\n")
+    assert cli.main(["ingest", "--orig", str(paths[0]), "--corr", str(paths[1]),
+                     "--seed", "1", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 def test_simulate_pr_outputs(tmp_path):
