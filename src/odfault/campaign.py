@@ -51,7 +51,7 @@ from odfault.detector import (
     reference_model,
     shape_catalog,
 )
-from odfault.geometry import rasterize
+from odfault.geometry import _json, mask_diff, rasterize
 from odfault.matching import CategoryPolicy, assign, fp_type_breakdown
 from odfault.metrics import ImageEval, SdcReport, _mean, bit_averaged, bit_grouped, severity
 from odfault.persistence import TrackerConfig, occupancy_series, sdc_at_severity, track
@@ -81,6 +81,10 @@ MAX_SCENE_SIDE = 1024
 
 # Most worker processes: a process pool starts all of its workers at once.
 MAX_WORKERS = 64
+
+# Most ground truths of the synthetic PR experiment: its memory and output
+# grow with them, to about 270 MB peak and 160 MB of CSV at this bound.
+MAX_SYNTHETIC_OBJECTS = 1_000_000
 
 
 # Streams for deriving independent per-item seeds from the campaign seed.
@@ -158,6 +162,12 @@ class CampaignConfig:
         if self.mode == "permanent" and self.n_frames < self.tracker.n:
             raise ConfigError(
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
+        # a permanent work item holds every frame at once, 7 bytes a pixel: the
+        # float32 frame, its golden raster and one injection's FP and FN masks
+        frame_bytes = 7 * spec.width * spec.height
+        if self.mode == "permanent" and self.n_frames * frame_bytes > _CHUNK_MASK_BYTES:
+            raise ConfigError(f"n_frames must be at most {_CHUNK_MASK_BYTES // frame_bytes} "
+                              f"for {spec.width}x{spec.height} scenes, got {self.n_frames}")
         # sorted unique, so the lowest level is [0] and report keys read
         # "0.0" whether the config said 0 or 0.0
         levels = tuple(sorted(set(self.severity_levels)))
@@ -205,30 +215,6 @@ class CampaignConfig:
                 target = doc.setdefault(section, {}) if section else doc
                 target[key] = _json_value(reduce(getattr, name.split("."), self))
         return doc
-
-
-def _json(kind):
-    """Parser that accepts JSON values of ``kind`` and never coerces one:
-    ``"false"`` is not a bool, and ``2.9``, ``"2"`` and ``true`` are not
-    ints. An int passes as a float, and a numpy number as a Python one;
-    ``[kind]`` is an array (or a tuple, frozenset or ndarray), kept as a tuple."""
-    def parse(value):
-        if isinstance(kind, list):
-            if not isinstance(value, (list, tuple, frozenset, np.ndarray)):
-                raise TypeError(f"expected a JSON array, got {value!r}")
-            return tuple(map(_json(kind[0]), value))
-        if isinstance(value, np.integer) or (kind is float and isinstance(value, np.floating)):
-            value = value.item()
-        if kind is float and type(value) is int:
-            try:
-                return float(value)
-            except OverflowError:
-                raise TypeError("expected a JSON number within float range, "
-                                "got a larger integer") from None
-        if type(value) is not kind:
-            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-        return value
-    return parse
 
 
 def _clusters(groups) -> tuple[frozenset, ...]:
@@ -334,9 +320,9 @@ class _Scored:
     fault: FaultDescriptor | None
     image_id: object
     report: SdcReport
-    gts: list
-    orig: list
-    corr: list
+    gts: tuple
+    orig: tuple
+    corr: tuple
     fp_types: dict | None = None
 
 
@@ -345,9 +331,9 @@ def _score(cfg: CampaignConfig, counts_orig, dims, nan: bool, inf: bool, *,
     """Image-wise verdict and severity of one corrupted image against its original,
     whose counts the caller computed once.
 
-    A corrupted list equal to the original by value has the original's counts
+    A corrupted tuple equal to the original by value has the original's counts
     and raster, so only a changed image is assigned and rasterized: value-equal
-    lists differ at most in the sign of a zero or in int versus float, and the
+    tuples differ at most in the sign of a zero or in int versus float, and the
     assignment and the rasterizer only compare and do arithmetic on values,
     which floats and ints agree on below 2**53 (record and detector boxes hold
     floats and image sides).
@@ -374,7 +360,7 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
                       _derive_seed(cfg.seed, _STREAM_SCENE, scene_idx))
     golden = infer(model, scene)
     gts = scene.ground_truth()
-    orig = list(golden.detections)
+    orig = golden.detections
     counts_orig = _counts(cfg, orig, gts)
 
     injections = []
@@ -383,7 +369,7 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
             catalog, FaultTarget(cfg.target), cfg.bit_policy,
             seed=_derive_seed(cfg.seed, _STREAM_FAULT, index))
         trace = infer(model, scene, fault=fault, golden=golden)
-        corr = list(trace.detections)
+        corr = trace.detections
         scored = _score(cfg, counts_orig, (scene.width, scene.height), trace.nan_seen,
                         trace.inf_seen, key=index, injection_id=index, fault=fault,
                         image_id=scene_idx, gts=gts, orig=orig, corr=corr)
@@ -511,7 +497,7 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
 
 # injections per permanent work item, and the bytes of FP and FN blob masks
 # (two bool masks per injection and changed frame) one work item may hold
-# when every frame changes
+# when every frame changes; a sequence whose frames alone do not fit is refused
 _PERMANENT_CHUNK = 32
 _CHUNK_MASK_BYTES = 1 << 30
 
@@ -579,8 +565,8 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
                 fp_blobs[k].append(unchanged)
                 fn_blobs[k].append(unchanged)
             else:
-                fp_blobs[k].append(corr_raster & ~orig_raster)
-                fn_blobs[k].append(orig_raster & ~corr_raster)
+                fp_blobs[k].append(mask_diff(corr_raster, orig_raster))
+                fn_blobs[k].append(mask_diff(orig_raster, corr_raster))
             due_frames[k] += int(any(flags))
 
     area = width * height
@@ -690,11 +676,9 @@ def ingest_and_score(orig_path, corr_path, cfg: CampaignConfig, out_dir) -> dict
             raise DataError(f"image {image_id!r}: dimensions differ between files")
         if orig.ground_truth != corr.ground_truth:
             raise DataError(f"image {image_id!r}: ground truth differs between files")
-        gts = list(orig.ground_truth)
-        orig_dets = list(orig.detections)
-        scored.append(_score(cfg, _counts(cfg, orig_dets, gts), dims,
+        scored.append(_score(cfg, _counts(cfg, orig.detections, orig.ground_truth), dims,
                              corr.nan_flag, corr.inf_flag, key=image_id, image_id=image_id,
-                             gts=gts, orig=orig_dets, corr=list(corr.detections)))
+                             gts=orig.ground_truth, orig=orig.detections, corr=corr.detections))
 
     report = {
         "config": cfg.echo(),
@@ -720,6 +704,9 @@ def simulate_pr(
     conf_range: tuple[float, float] = (0.7, 1.0),
 ) -> dict:
     """Synthetic PR-curve experiment: baseline plus fault-style perturbations."""
+    if n_objects > MAX_SYNTHETIC_OBJECTS:
+        raise ConfigError(f"invalid PR experiment: n_objects must be at most "
+                          f"{MAX_SYNTHETIC_OBJECTS}, got {n_objects}")
     try:
         cfg = ap_mod.SyntheticSetConfig(
             n_objects=n_objects, p_tp=p_tp, fp_rate=fp_rate,

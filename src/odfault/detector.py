@@ -94,8 +94,8 @@ class Scene:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    def ground_truth(self) -> list[Detection]:
-        return [Detection(box, category, 1.0) for box, category, _ in self.objects]
+    def ground_truth(self) -> tuple[Detection, ...]:
+        return tuple(Detection(box, category, 1.0) for box, category, _ in self.objects)
 
 
 @dataclass(frozen=True)

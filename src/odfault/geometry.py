@@ -74,20 +74,15 @@ class Detection:
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union; 0 when the union has zero area."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    return _ious(a, (b,))[0]
 
 
-def _ious(box: Box, others: list[Box]) -> list[float]:
-    """``[iou(box, other) for other in others]``, bit for bit: the same
-    operations in the same order, with ``box``'s corners and area read once."""
+def _ious(box: Box, others) -> list[float]:
+    """``[iou(box, other) for other in others]``, with ``box``'s corners and
+    area read once. Symmetric bit for bit on boxes without NaN: the two areas
+    are added, which commutes, and ``min`` and ``max`` differ between the
+    orders only in the sign of a zero, which changes a side only when the
+    side is zero, and the IoU is then 0.0 either way."""
     ax1, ay1, ax2, ay2 = box.x1, box.y1, box.x2, box.y2
     a_area = (ax2 - ax1) * (ay2 - ay1)
     out = []
@@ -128,18 +123,15 @@ def nms(
     ties are broken by input position for determinism.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    kept: list[int] = []
+    kept: list[Detection] = []
     for i in order:
-        suppressed = False
-        for j in kept:
-            if dets[j].category == dets[i].category and iou(dets[j].box, dets[i].box) > iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(i)
+        det = dets[i]
+        same = [k.box for k in kept if k.category == det.category]
+        if not any(overlap > iou_threshold for overlap in _ious(det.box, same)):
+            kept.append(det)
             if len(kept) >= max_detections:
                 break
-    return [dets[i] for i in kept]
+    return kept
 
 
 def rasterize(boxes: list[Box], width: int, height: int) -> np.ndarray:
@@ -173,22 +165,43 @@ def mask_popcount(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
+# The type rule of every config field; here because geometry is the lowest
+# module that both the campaign config and its nested configs import.
+def _json(kind):
+    """Parser that accepts JSON values of ``kind`` and never coerces one:
+    ``"false"`` is not a bool, and ``2.9``, ``"2"``, ``true`` and an IntEnum are
+    not ints. An int passes as a float, and a numpy number as a Python one;
+    ``[kind]`` is an array (or a tuple, frozenset or ndarray), kept as a tuple."""
+    def parse(value):
+        if isinstance(kind, list):
+            if not isinstance(value, (list, tuple, frozenset, np.ndarray)):
+                raise TypeError(f"expected a JSON array, got {value!r}")
+            return tuple(map(_json(kind[0]), value))
+        if isinstance(value, np.integer) or (kind is float and isinstance(value, np.floating)):
+            value = value.item()
+        if kind is float and type(value) is int:
+            try:
+                return float(value)
+            except OverflowError:
+                raise TypeError("expected a JSON number within float range, "
+                                "got a larger integer") from None
+        if type(value) is not kind:
+            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return value
+    return parse
+
+
 def _check_integers(config, names=(), pairs=()) -> None:
     """Raise a TypeError naming ``config``'s class and field unless each
-    field in ``names`` holds an integer and each in ``pairs`` a tuple, list
-    or array of two. An integer is an int or a numpy integer, never a bool,
-    as the campaign config's parsers rule."""
+    field in ``names`` holds an integer and each in ``pairs`` two, by the
+    campaign config's rule (``_json``). A pair has an order, so a frozenset
+    is not one."""
     for name in (*names, *pairs):
         value = getattr(config, name)
-        if name in pairs:
-            kind = "a pair of integers"
-            ok = (isinstance(value, (tuple, list, np.ndarray)) and len(value) == 2
-                  and all(map(_is_integer, value)))
-        else:
-            kind, ok = "an integer", _is_integer(value)
-        if not ok:
-            raise TypeError(f"{type(config).__name__}.{name}: expected {kind}, got {value!r}")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        try:
+            if name not in pairs:
+                _json(int)(value)
+            elif isinstance(value, frozenset) or len(_json([int])(value)) != 2:
+                raise TypeError(f"expected a pair of integers, got {value!r}")
+        except TypeError as exc:
+            raise TypeError(f"{type(config).__name__}.{name}: {exc}") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from odfault.geometry import Detection, _ious, iou
+from odfault.geometry import Detection, _ious
 
 __all__ = [
     "CategoryPolicy",
@@ -259,8 +259,7 @@ def fp_type_breakdown(
         if i in relaxed_tp:
             class_only += 1
             continue
-        same_cat_ious = [iou(p.box, g.box) for g in gts if g.category == p.category]
-        best = max(same_cat_ious, default=0.0)
+        best = max(_ious(p.box, [g.box for g in gts if g.category == p.category]), default=0.0)
         if 0.0 < best < iou_threshold:
             box_only += 1
         else:

@@ -233,7 +233,7 @@ def record_from_trace(image_id, scene, trace) -> DetectionRecord:
         width=scene.width,
         height=scene.height,
         detections=tuple(trace.detections),
-        ground_truth=tuple(scene.ground_truth()),
+        ground_truth=scene.ground_truth(),
         nan_flag=trace.nan_seen,
         inf_flag=trace.inf_seen,
     )

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from enum import IntEnum
 from functools import reduce
 from operator import itemgetter
 
@@ -33,7 +34,7 @@ from odfault.campaign import (
     simulate_pr,
     write_pgm,
 )
-from odfault.detector import SceneSpec, generate_scene, infer, reference_model
+from odfault.detector import SceneSpec, generate_scene, infer, reference_model, shape_catalog
 from odfault.geometry import Box, Detection
 from odfault.matching import CategoryPolicy, MatchOutcome
 from odfault.metrics import ImageEval, SdcReport
@@ -151,6 +152,9 @@ def test_config_built_in_python_checks_nested_and_bool_fields(kwargs, name):
     (SceneSpec, {"object_count": (1, 2, 3)}, "SceneSpec.object_count"),
     (SceneSpec, {"size_range": [10, 16.0]}, "SceneSpec.size_range"),
     (SceneSpec, {"size_range": (False, 16)}, "SceneSpec.size_range"),
+    # a pair has an order, and an int subclass is not a JSON int
+    (SceneSpec, {"object_count": frozenset({1, 3})}, "SceneSpec.object_count"),
+    (TrackerConfig, {"m": IntEnum("Level", {"TWO": 2}).TWO}, "TrackerConfig.m"),
 ])
 def test_nested_configs_name_the_field_of_a_wrong_kind(build, kwargs, name):
     # checked before any comparison, which would fail with a bare TypeError
@@ -280,6 +284,27 @@ def test_scene_side_is_bounded_at_load():
                   {"object_count": [0, MAX_SCENE_SIDE ** 2 + 1]}):
         with pytest.raises(ConfigError, match="at most"):
             CampaignConfig.from_json({"seed": 1, "scene": scene})
+
+
+@pytest.mark.parametrize("side, most", [(64, 37449), (1024, 146)])
+def test_permanent_sequence_is_bounded_at_load(side, most):
+    # a permanent work item holds every frame at once, 7 bytes a pixel
+    doc = {"mode": "permanent", "seed": 1, "scene": {"width": side, "height": side}}
+    assert CampaignConfig.from_json(doc, n_frames=most).n_frames == most
+    with pytest.raises(ConfigError, match=f"n_frames must be at most {most} "):
+        CampaignConfig.from_json(doc, n_frames=most + 1)
+    # a transient or ingest campaign holds no sequence
+    assert CampaignConfig.from_json(dict(doc, mode="transient"), n_frames=most + 1).n_frames == most + 1
+
+
+def test_cli_permanent_refuses_a_long_sequence_before_its_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(campaign, "generate_sequence", lambda *args, **kwargs: pytest.fail(
+        "a million 64x64 frames take 16 GB"))
+    out = tmp_path / "perm"
+    assert cli.main(["permanent", "--seed", "1", "--n-injections", "1", "--n-frames", "1000000",
+                     "--out", str(out)]) == 2
+    assert "config error: n_frames must be at most" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -596,6 +621,34 @@ def test_ingest_added_fp_is_sdc_with_positive_delta(tmp_path):
     assert int(rows["img0"][8]) > 0
 
 
+def test_transient_scored_images_keep_the_detection_tuples():
+    cfg = CampaignConfig.from_json(dict(TRANSIENT_BASE, bit_policy="mantissa_only"))
+    model = reference_model()
+    scored = campaign._transient_scene(cfg, model, shape_catalog(model, 64, 64), 0)
+    assert all(type(s.gts) is type(s.orig) is type(s.corr) is tuple for s in scored)
+    # a fault that leaves the output alone hands back the golden pass's own tuple
+    assert any(s.corr is s.orig for s in scored if s.report.verdict == "benign")
+
+
+def test_ingest_scored_images_keep_the_record_tuples(tmp_path, monkeypatch):
+    def mutate(records):
+        first = records[0]
+        ghost = Detection(Box(1, 1, 9, 9), 0, 0.99)
+        return [replace(first, detections=first.detections + (ghost,)), *records[1:]]
+
+    seen = []
+    summary = campaign._summary
+    monkeypatch.setattr(campaign, "_summary",
+                        lambda scored, *args: seen.extend(scored) or summary(scored, *args))
+    orig_path, corr_path = _make_record_files(tmp_path, mutate)
+    ingest_and_score(orig_path, corr_path, _ingest_cfg(), tmp_path / "out")
+    assert all(type(s.gts) is tuple for s in seen)
+    by_id = {s.image_id: s for s in seen}
+    assert by_id["img0"].corr is not by_id["img0"].orig
+    # the line is the same in both files, so both are one record's tuple
+    assert by_id["img1"].corr is by_id["img1"].orig
+
+
 def test_ingest_mismatched_ids_listed(tmp_path):
     orig_path, corr_path = _make_record_files(tmp_path)
     lines = corr_path.read_text().splitlines()
@@ -723,6 +776,7 @@ def test_cli_simulate_pr(tmp_path):
     ["--conf-lo", "nan"],
     ["--conf-hi", "inf"],
     ["--objects", "-5"],
+    ["--objects", "1000000000000"],  # 7.28 TiB of draws
     ["--seed", "-1"],
 ])
 def test_cli_simulate_pr_rejects_bad_generator_flags(tmp_path, capsys, flags):

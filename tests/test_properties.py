@@ -1,5 +1,6 @@
 """Property tests: the config echo round trip, assignment invariances,
-the batched IoU against the per-pair one, resumed inference (on the
+IoU, NMS and the FP-type breakdown against the per-pair bodies they
+replaced, IoU symmetry, resumed inference (on the
 reference model and on small random models) and the sparse convolution
 against the dense every-tap reference, AP against the
 per-threshold greedy reference, mutated record files at the CLI, record
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import pathlib
+import struct
 import tempfile
 from dataclasses import fields, replace
 from functools import partial
@@ -41,9 +43,9 @@ from odfault.detector import (  # noqa: E402
     ConvLayer, DetectorModel, Scene, SceneSpec, _components, _convolve, generate_scene,
     generate_sequence, infer, receptive_field, reference_model, shape_catalog)
 from odfault.geometry import (  # noqa: E402
-    Box, Detection, _ious, iou, mask_diff, mask_popcount, rasterize)
+    Box, Detection, _ious, iou, mask_diff, mask_popcount, nms, rasterize)
 from odfault.matching import (  # noqa: E402
-    CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix)
+    CategoryPolicy, _canonicalize_ties, _solve_lsap, assign, build_cost_matrix, fp_type_breakdown)
 from odfault.metrics import ImageEval, severity  # noqa: E402
 from odfault.persistence import _dilate  # noqa: E402
 from odfault.records import DataError, read_records  # noqa: E402
@@ -135,10 +137,109 @@ _any_coord = st.one_of(st.integers(0, 3), st.sampled_from([0.5, 2.5, -0.0, -1.0]
 _any_box = st.builds(Box, _any_coord, _any_coord, _any_coord, _any_coord)
 
 
+def _iou_reference(a, b):
+    """The scalar IoU body that ``iou`` held before it called ``_ious``."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
 @settings(max_examples=300, deadline=None)
 @given(box=_any_box, others=st.lists(_any_box, max_size=6))
 def test_batched_iou_matches_iou(box, others):
-    assert repr(_ious(box, others)) == repr([iou(box, other) for other in others])
+    expected = repr([_iou_reference(box, other) for other in others])
+    assert repr(_ious(box, others)) == expected
+    assert repr([iou(box, other) for other in others]) == expected
+
+
+# signed zeros, subnormals and 1e300 (whose products overflow), on a grid
+# that makes zero-area boxes and shared edges common; no NaN, which a
+# detector box never holds and which ``min`` and ``max`` treat by order
+_edge_coord = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                         1e300, -1e300, 1.0, 2.0]),
+                        st.integers(-1, 3), st.floats(-2.0, 4.0),
+                        st.floats(allow_nan=False, allow_infinity=False))
+_edge_box = st.builds(Box, _edge_coord, _edge_coord, _edge_coord, _edge_coord)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_edge_box, b=_edge_box)
+def test_iou_is_symmetric_bit_for_bit(a, b):
+    expected = _bits(_iou_reference(a, b))
+    assert _bits(iou(a, b)) == _bits(iou(b, a)) == expected
+    assert _bits(_iou_reference(b, a)) == expected
+
+
+def _nms_reference(dets, iou_threshold, max_detections):
+    """The pairwise loop ``nms`` ran before it called ``_ious``: each kept
+    detection of the candidate's category, the kept box first."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    kept: list[int] = []
+    for i in order:
+        suppressed = False
+        for j in kept:
+            if (dets[j].category == dets[i].category
+                    and _iou_reference(dets[j].box, dets[i].box) > iou_threshold):
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append(i)
+            if len(kept) >= max_detections:
+                break
+    return [dets[i] for i in kept]
+
+
+def _fp_types_reference(preds, gts, iou_threshold):
+    """``fp_type_breakdown`` with its best same-category IoU scanned pair by pair."""
+    strict = {r for r, _, _ in assign(preds, gts, iou_threshold, CategoryPolicy.strict()).pairs}
+    relaxed = {r for r, _, _ in assign(preds, gts, iou_threshold, CategoryPolicy.none()).pairs}
+    counts = dict.fromkeys(("class_only", "box_only", "both_or_unmatched"), 0)
+    for i, p in enumerate(preds):
+        if i in strict:
+            continue
+        if i in relaxed:
+            counts["class_only"] += 1
+            continue
+        same_cat_ious = [_iou_reference(p.box, g.box) for g in gts if g.category == p.category]
+        best = max(same_cat_ious, default=0.0)
+        counts["box_only" if 0.0 < best < iou_threshold else "both_or_unmatched"] += 1
+    return counts
+
+
+# grid boxes that overlap, touch and repeat, in mixed categories, with
+# confidences that tie often
+_grid_coord = st.one_of(st.integers(0, 6), st.sampled_from([0.5, 2.5, -0.0, 1e300]),
+                        st.floats(0.0, 6.0))
+_tied_detections = st.lists(
+    st.builds(Detection, st.builds(Box, _grid_coord, _grid_coord, _grid_coord, _grid_coord),
+              st.integers(0, 2), st.one_of(st.sampled_from([0.5, 0.9, 1.0]), st.floats(0.0, 1.0))),
+    max_size=10)
+_thresholds = st.one_of(st.sampled_from([0.1, 0.3, 0.5, 0.75, 1.0]), st.floats(0.05, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dets=_tied_detections, iou_threshold=st.one_of(st.just(0.0), _thresholds),
+       max_detections=st.integers(1, 12))
+def test_nms_matches_pairwise_reference(dets, iou_threshold, max_detections):
+    kept = nms(dets, iou_threshold, max_detections)
+    assert list(map(id, kept)) == list(map(id, _nms_reference(dets, iou_threshold, max_detections)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(preds=_tied_detections, gts=_tied_detections, iou_threshold=_thresholds)
+def test_fp_type_breakdown_matches_pairwise_reference(preds, gts, iou_threshold):
+    assert fp_type_breakdown(preds, gts, iou_threshold) == _fp_types_reference(
+        preds, gts, iou_threshold)
 
 
 @st.composite
