@@ -82,6 +82,12 @@ MAX_SCENE_SIDE = 1024
 # Most worker processes: a process pool starts all of its workers at once.
 MAX_WORKERS = 64
 
+# Most bytes of results a transient or permanent campaign holds until its
+# report: about 1 KiB a transient injection, 4 KiB plus 64 B a frame a
+# permanent one (tracemalloc peaks, rounded up), so about 1M transient and
+# 135k permanent injections at 60 frames.
+MAX_RESULT_BYTES = 1 << 30
+
 # Most ground truths of the synthetic PR experiment: its memory and output
 # grow with them, to about 270 MB peak and 160 MB of CSV at this bound.
 MAX_SYNTHETIC_OBJECTS = 1_000_000
@@ -137,8 +143,6 @@ class CampaignConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
-        if self.mode in ("transient", "permanent") and self.n_injections < 1:
-            raise ConfigError("n_injections must be at least 1")
         if self.target not in [target.value for target in FaultTarget]:
             raise ConfigError(f"unknown target {self.target!r}")
         if self.bit_policy not in BIT_POLICIES:
@@ -168,6 +172,11 @@ class CampaignConfig:
         if self.mode == "permanent" and self.n_frames * frame_bytes > _CHUNK_MASK_BYTES:
             raise ConfigError(f"n_frames must be at most {_CHUNK_MASK_BYTES // frame_bytes} "
                               f"for {spec.width}x{spec.height} scenes, got {self.n_frames}")
+        if self.mode in ("transient", "permanent"):
+            most = MAX_RESULT_BYTES // (1024 if self.mode == "transient" else 4096 + 64 * self.n_frames)
+            if not 1 <= self.n_injections <= most:
+                raise ConfigError(f"n_injections must lie in 1..{most} for this {self.mode} "
+                                  f"campaign, got {self.n_injections}")
         # sorted unique, so the lowest level is [0] and report keys read
         # "0.0" whether the config said 0 or 0.0
         levels = tuple(sorted(set(self.severity_levels)))
@@ -495,17 +504,16 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
 # permanent campaign
 
 
-# injections per permanent work item, and the bytes of FP and FN blob masks
-# (two bool masks per injection and changed frame) one work item may hold
-# when every frame changes; a sequence whose frames alone do not fit is refused
-_PERMANENT_CHUNK = 32
+# bytes of FP and FN blob masks (two bool masks per injection and changed
+# frame) one permanent work item may hold when every frame changes; a
+# sequence whose frames alone do not fit is refused. Within them a work
+# item is a worker's whole share, so a worker plays the sequence once.
 _CHUNK_MASK_BYTES = 1 << 30
 
 
 def _permanent_chunks(cfg: CampaignConfig) -> list[range]:
     mask_bytes = 2 * cfg.n_frames * cfg.scene_spec.width * cfg.scene_spec.height
-    size = min(_PERMANENT_CHUNK, math.ceil(cfg.n_injections / cfg.workers),
-               max(1, _CHUNK_MASK_BYTES // mask_bytes))
+    size = min(math.ceil(cfg.n_injections / cfg.workers), max(1, _CHUNK_MASK_BYTES // mask_bytes))
     return [range(start, min(start + size, cfg.n_injections))
             for start in range(0, cfg.n_injections, size)]
 

@@ -379,8 +379,8 @@ def shape_catalog(model: DetectorModel, height: int = 64, width: int = 64) -> Sh
                           for target in (FaultTarget.NEURON, FaultTarget.WEIGHT)))
 
 
-def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
-              finite: bool = False) -> np.ndarray:
+def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None, *,
+              finite: bool) -> np.ndarray:
     """Same-padded conv in float32 with a fixed accumulation order.
 
     Only the output ``channels`` given (every channel by default), in their
@@ -390,9 +390,8 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
     result is bit-identical to the same part of the full result, except
     which NaN a sum of two NaNs keeps (numpy's choice depends on position).
 
-    Over finite input channel k takes ``layer.taps[k]``; ``finite`` says
-    the caller knows ``x`` is, otherwise the window is scanned. Over Inf or
-    NaN every channel takes every tap, so that 0 * inf = nan propagates.
+    Channel k takes ``layer.taps[k]`` when ``finite`` says ``x`` is finite,
+    and every tap otherwise, so that 0 * inf = nan propagates.
     """
     c_in, height, width = x.shape
     c_out, _, kh, kw = layer.weights.shape
@@ -407,7 +406,7 @@ def _convolve(x: np.ndarray, layer: ConvLayer, channels=None, window=None,
         padded = np.zeros((c_in, bottom - top, right - left), dtype=F32)
         r0, r1, c0, c1 = max(top, 0), min(bottom, height), max(left, 0), min(right, width)
         padded[:, r0 - top:r1 - top, c0 - left:c1 - left] = x[:, r0:r1, c0:c1]
-    taps = layer.taps if finite or np.isfinite(padded).all() else (tuple(np.ndindex(c_in, kh, kw)),) * c_out
+    taps = layer.taps if finite else (tuple(np.ndindex(c_in, kh, kw)),) * c_out
     # overflow to inf and 0*inf=nan are expected results of injected faults
     out = np.empty((len(channels), out_h, out_w), dtype=F32)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -741,12 +740,12 @@ def _resume(model: DetectorModel, scene: Scene, fault: FaultDescriptor,
         c_out, _, kh, kw = layer.weights.shape
         window = (max(row0 - kh // 2, 0), min(row1 + kh // 2, scene.height),
                   max(col0 - kw // 2, 0), min(col1 + kw // 2, scene.width))
-        finite = layer_flags[index - 1] == _FINITE
+        finite = _finite_input(x, layer_flags, index)
         if finite and golden_finite:
             computed = [k for k, taps in enumerate(layer.taps) if any(ic in changed for ic, _, _ in taps)]
         else:
             computed = list(range(c_out))
-        part = _activate(_convolve(x, layer, computed, window, finite), layer.activation)
+        part = _activate(_convolve(x, layer, computed, window, finite=finite), layer.activation)
 
     gates = [scores[changed, row0:row1, col0:col1] > SCORE_GATE for scores in (x, golden.activations[-1])]
     detections = golden.detections if np.array_equal(*gates) else tuple(_decode(x))

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
 from functools import reduce
@@ -34,7 +35,14 @@ from odfault.campaign import (
     simulate_pr,
     write_pgm,
 )
-from odfault.detector import SceneSpec, generate_scene, infer, reference_model, shape_catalog
+from odfault.detector import (
+    SceneSpec,
+    generate_scene,
+    generate_sequence,
+    infer,
+    reference_model,
+    shape_catalog,
+)
 from odfault.geometry import Box, Detection
 from odfault.matching import CategoryPolicy, MatchOutcome
 from odfault.metrics import ImageEval, SdcReport
@@ -307,6 +315,35 @@ def test_cli_permanent_refuses_a_long_sequence_before_its_output(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, n_frames, most", [
+    ("transient", 60, 1_048_576),  # 1 KiB an injection
+    ("permanent", 60, 135_300),  # 4 KiB + 64 B a frame an injection
+    ("permanent", 20, 199_728),
+])
+def test_campaign_size_is_bounded_at_load(mode, n_frames, most):
+    # every injection's result is held until the report: 1 GiB of them at most
+    doc = {"mode": mode, "seed": 1, "sequence": {"n_frames": n_frames}}
+    assert CampaignConfig.from_json(doc, n_injections=most).n_injections == most
+    with pytest.raises(ConfigError, match=f"n_injections must lie in 1..{most} "):
+        CampaignConfig.from_json(doc, n_injections=most + 1)
+    # an ingest campaign holds no injections
+    assert CampaignConfig.from_json(dict(doc, mode="ingest"),
+                                    n_injections=most + 1).n_injections == most + 1
+
+
+@pytest.mark.parametrize("mode", ["transient", "permanent"])
+def test_cli_refuses_a_huge_campaign_before_its_output(tmp_path, capsys, monkeypatch, mode):
+    # fail before any work: an unbounded permanent campaign lists its chunks
+    # ahead of its first frame, and a trillion injections' results do not fit
+    monkeypatch.setattr(campaign, "_make_out_dir", lambda out_dir: pytest.fail(
+        "a trillion injections got past the config"))
+    out = tmp_path / mode
+    assert cli.main([mode, "--seed", "1", "--n-injections", "1000000000000",
+                     "--out", str(out)]) == 2
+    assert "config error: n_injections must lie in 1.." in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("runner, doc", [
     (run_transient, {"mode": "transient", "scene": {"width": 20, "height": 20}}),
@@ -449,6 +486,34 @@ def test_outputs_identical_at_one_and_two_workers(tmp_path, runner, cfg):
         assert any(name.endswith(".pgm") for name in one)  # seed 20 persists
 
 
+def test_permanent_campaign_plays_its_sequence_once_at_one_worker(tmp_path, monkeypatch):
+    # one chunk: the sequence is generated once and each frame's golden pass
+    # runs once
+    cfg = CampaignConfig(mode="permanent", seed=20, n_injections=40, n_frames=20)
+    calls = Counter()
+    monkeypatch.setattr(campaign, "infer", lambda model, scene, fault=None, golden=None: (
+        calls.update(["faulty" if fault else "golden"]) or infer(model, scene, fault, golden)))
+    monkeypatch.setattr(campaign, "generate_sequence", lambda *args, **kwargs: (
+        calls.update(["sequence"]) or generate_sequence(*args, **kwargs)))
+    run_permanent(cfg, tmp_path)
+    assert (calls["golden"], calls["sequence"]) == (20, 1)
+
+
+def test_permanent_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # a work item is a function of (config, model, item) and results are
+    # reduced in injection order, so chunks of 3 write what one chunk writes,
+    # PGMs of the first emit_masks persisting injections included
+    cfg = CampaignConfig.from_json({"mode": "permanent", "seed": 20, "n_injections": 33,
+                                    "emit_masks": 2, "sequence": {"n_frames": 20}})
+    run_permanent(cfg, tmp_path / "one")
+    monkeypatch.setattr(campaign, "_CHUNK_MASK_BYTES", 3 * 2 * 20 * 64 * 64)
+    assert [len(chunk) for chunk in _permanent_chunks(cfg)] == [3] * 11
+    run_permanent(cfg, tmp_path / "threes")
+    files = _campaign_files(tmp_path / "one")
+    assert any(name.endswith(".pgm") for name in files)  # seed 20 persists
+    assert _campaign_files(tmp_path / "threes") == files
+
+
 def test_permanent_reuse_of_repeated_receptive_fields_changes_no_byte(tmp_path, monkeypatch):
     cfg = CampaignConfig.from_json({"mode": "permanent", "seed": 20, "n_injections": 5,
                                     "emit_masks": 2, "sequence": {"n_frames": 60}})
@@ -517,7 +582,7 @@ def test_per_detection_records_are_slotted(record):
 
 
 @pytest.mark.parametrize("side, workers, sizes", [
-    (64, 1, [32, 32, 32, 4]),
+    (64, 1, [100]),
     (64, 4, [25, 25, 25, 25]),
     (1024, 1, [8] * 12 + [4]),  # 2 x 60 x 1 MB of masks per injection
     (1024, 64, [2] * 50),

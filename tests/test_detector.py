@@ -373,14 +373,15 @@ def test_sparse_taps_keep_the_sign_of_zero():
     model = DetectorModel((unit, layer))
     scene = Scene(np.full((8, 8), 0.75, dtype=np.float32), ())
     x = scene.pixels[None, :, :]
+    finite = bool(np.isfinite(x).all())
     dense = dense_conv(x, layer.weights, layer.biases)
     assert not np.signbit(dense[0]).any()
-    assert _same_bits(_convolve(x, layer), dense)
+    assert _same_bits(_convolve(x, layer, finite=finite), dense)
     for row0, row1, col0, col1 in [(0, 2, 0, 2), (3, 5, 2, 6), (6, 8, 7, 8)]:
-        window = _convolve(x, layer, window=(row0, row1, col0, col1))
+        window = _convolve(x, layer, window=(row0, row1, col0, col1), finite=finite)
         assert _same_bits(window, dense[:, row0:row1, col0:col1])
     first = ConvLayer(trap[:1], biases[:1], "relu")
-    assert _same_bits(_convolve(x, first, window=(0, 1, 0, 1)), dense[:1, :1, :1])
+    assert _same_bits(_convolve(x, first, window=(0, 1, 0, 1), finite=finite), dense[:1, :1, :1])
 
     golden = infer(model, scene)
     for kept, reference in zip(golden.activations, dense_infer(model, scene).activations):
@@ -398,10 +399,11 @@ def test_nonfinite_input_multiplies_every_tap():
     pixels = np.ones((8, 8), dtype=np.float32)
     x = pixels.copy()[None, :, :]
     x[0, 2, 5] = np.inf
-    out = _convolve(x, zero)
+    finite = bool(np.isfinite(x).all())
+    out = _convolve(x, zero, finite=finite)
     assert _same_bits(out, dense_conv(x, zero.weights, zero.biases))
     assert np.isnan(out[0, 1:4, 4:7]).all() and np.count_nonzero(np.isnan(out)) == 9
-    assert np.isnan(_convolve(x, zero, window=(0, 2, 5, 8))[0, 1, :2]).all()
+    assert np.isnan(_convolve(x, zero, window=(0, 2, 5, 8), finite=finite)[0, 1, :2]).all()
 
     scene = Scene(pixels, ())
     golden = infer(model, scene)
@@ -428,9 +430,10 @@ def test_nan_in_both_is_no_change():
     x[0, 5, 1] = np.inf
     nan_bias = np.array([0x7FC00000], dtype=np.uint32).view(np.float32)
     layer = ConvLayer(np.zeros((1, 1, 1, 1), dtype=np.float32), nan_bias, "relu")
-    full = _convolve(x, layer)
+    finite = bool(np.isfinite(x).all())
+    full = _convolve(x, layer, finite=finite)
     window = (0, 6, 0, 2)
-    part = _convolve(x, layer, window=window)
+    part = _convolve(x, layer, window=window, finite=finite)
     assert np.isnan(full).all() and np.isnan(part).all()
     assert _changed(part, full, [0], window, golden_nan=True) is None
     other = full.copy()
