@@ -74,9 +74,8 @@ class ConfigError(Exception):
 
 
 # Largest scene side: a golden trace holds 41 float32 planes of the scene,
-# about 170 MB at 1024 x 1024, and a permanent injection 2 MB of masks per
-# frame that its fault changed at that side (``_CHUNK_MASK_BYTES`` bounds
-# them per work item for the worst case, a fault that changes every frame).
+# about 170 MB at 1024 x 1024, and a permanent injection up to 2 MB of masks
+# per frame at that side (``_injections_per_chunk`` bounds a work item's).
 MAX_SCENE_SIDE = 1024
 
 # Most worker processes: a process pool starts all of its workers at once.
@@ -166,11 +165,9 @@ class CampaignConfig:
         if self.mode == "permanent" and self.n_frames < self.tracker.n:
             raise ConfigError(
                 f"sequence of {self.n_frames} frames is shorter than tracker n={self.tracker.n}")
-        # a permanent work item holds every frame at once, 7 bytes a pixel: the
-        # float32 frame, its golden raster and one injection's FP and FN masks
-        frame_bytes = 7 * spec.width * spec.height
-        if self.mode == "permanent" and self.n_frames * frame_bytes > _CHUNK_MASK_BYTES:
-            raise ConfigError(f"n_frames must be at most {_CHUNK_MASK_BYTES // frame_bytes} "
+        if self.mode == "permanent" and _injections_per_chunk(self) < 1:
+            most = _ITEM_MASK_BYTES // ((_ITEM_MASKS + _INJECTION_MASKS) * spec.width * spec.height)
+            raise ConfigError(f"n_frames must be at most {most} "
                               f"for {spec.width}x{spec.height} scenes, got {self.n_frames}")
         if self.mode in ("transient", "permanent"):
             most = MAX_RESULT_BYTES // (1024 if self.mode == "transient" else 4096 + 64 * self.n_frames)
@@ -301,12 +298,12 @@ def _run_items(cfg: CampaignConfig, items, work) -> list:
                 for result in results]
 
 
-def _generate(generator, cfg: CampaignConfig, *args, **kwargs):
-    """Call a scene or sequence generator; a spec it cannot pack is a config error."""
+def _generate(generator, what: str, *args, **kwargs):
+    """Call a scene or sequence generator; failing to pack ``what`` is a config error."""
     try:
         return generator(*args, **kwargs)
     except RuntimeError as exc:
-        raise ConfigError(f"cannot generate scenes for {cfg.scene_spec}: {exc}") from exc
+        raise ConfigError(f"cannot generate {what}: {exc}") from exc
 
 
 def _counts(cfg: CampaignConfig, dets, gts) -> tuple[int, int, int]:
@@ -365,7 +362,7 @@ def _transient_scene(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     Injection ``i`` runs on scene ``i mod pool``. Only this scene's golden
     activations are held, so a process keeps one golden set at a time.
     """
-    scene = _generate(generate_scene, cfg, cfg.scene_spec,
+    scene = _generate(generate_scene, f"scenes for {cfg.scene_spec}", cfg.scene_spec,
                       _derive_seed(cfg.seed, _STREAM_SCENE, scene_idx))
     golden = infer(model, scene)
     gts = scene.ground_truth()
@@ -504,16 +501,26 @@ def run_transient(cfg: CampaignConfig, out_dir) -> dict:
 # permanent campaign
 
 
-# bytes of FP and FN blob masks (two bool masks per injection and changed
-# frame) one permanent work item may hold when every frame changes; a
-# sequence whose frames alone do not fit is refused. Within them a work
-# item is a worker's whole share, so a worker plays the sequence once.
-_CHUNK_MASK_BYTES = 1 << 30
+# Most bytes of bool masks a permanent work item holds. Per pixel of each
+# frame, when every fault changes every frame, they are:
+# - the golden raster, the FN vacancy's denominator (1);
+# - for the injection being tracked, its FP and FN blobs and tracker masks (4);
+# - per injection, its faulty raster and, if kept for the PGM output, its FP
+#   tracker mask (2).
+# A frame and its golden trace are held only while the frame is played.
+# Within this, a work item is a worker's whole share: it plays the sequence once.
+_ITEM_MASK_BYTES = 1 << 30
+_ITEM_MASKS, _INJECTION_MASKS = 5, 2
+
+
+def _injections_per_chunk(cfg: CampaignConfig) -> int:
+    """Injections per permanent work item; below 1 not even one fits."""
+    frame_pixels = cfg.n_frames * cfg.scene_spec.width * cfg.scene_spec.height
+    return (_ITEM_MASK_BYTES // frame_pixels - _ITEM_MASKS) // _INJECTION_MASKS
 
 
 def _permanent_chunks(cfg: CampaignConfig) -> list[range]:
-    mask_bytes = 2 * cfg.n_frames * cfg.scene_spec.width * cfg.scene_spec.height
-    size = min(math.ceil(cfg.n_injections / cfg.workers), max(1, _CHUNK_MASK_BYTES // mask_bytes))
+    size = min(math.ceil(cfg.n_injections / cfg.workers), _injections_per_chunk(cfg))
     return [range(start, min(start + size, cfg.n_injections))
             for start in range(0, cfg.n_injections, size)]
 
@@ -522,11 +529,11 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
                      indices: range) -> list[dict]:
     """Stuck-at-1 runs of a chunk of injections over the whole sequence.
 
-    Frames form the outer loop: each frame's golden pass is built once and
-    every injection of the chunk resumes from it, so a process holds one
-    golden activation set at a time; a frame is freed once its passes are
-    done. A frame whose faulty raster is golden's own adds no mask: its FP
-    and FN blobs are one shared read-only empty mask. The first
+    Frames form the outer loop: each frame is made as it is played and its
+    golden pass is built once for every injection of the chunk to resume
+    from. An injection keeps one faulty raster per frame, golden's own where
+    its fault changed nothing; its FP and FN blobs, one shared read-only
+    empty mask on such frames, exist only while it is tracked. The first
     ``emit_masks`` injections of the chunk that persist at the lowest
     severity level keep their FP tracker masks for the PGM output.
 
@@ -537,9 +544,8 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
     """
     width, height = cfg.scene_spec.width, cfg.scene_spec.height
     frames = _generate(
-        generate_sequence, cfg, _derive_seed(cfg.seed, _STREAM_SEQUENCE, 0),
-        n_frames=cfg.n_frames, width=width, height=height)
-    frames.reverse()  # popped in order, so each frame is freed after its passes
+        generate_sequence, f"a sequence of {width}x{height} frames",
+        _derive_seed(cfg.seed, _STREAM_SEQUENCE, 0), n_frames=cfg.n_frames, width=width, height=height)
     faults = [
         sample_fault(catalog, FaultTarget(cfg.target), "exponent_only",
                      seed=_derive_seed(cfg.seed, _STREAM_FAULT, index),
@@ -547,14 +553,10 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
         for index in indices
     ]
     orig_rasters = []
-    fp_blobs = [[] for _ in faults]
-    fn_blobs = [[] for _ in faults]
+    corr_rasters = [[] for _ in faults]
     due_frames = [0] * len(faults)
     reused = [{} for _ in faults]  # receptive field -> (nan, inf) of a pass that kept golden's detections
-    unchanged = np.zeros((height, width), dtype=bool)  # the FP and FN blob of every unchanged frame
-    unchanged.flags.writeable = False
-    while frames:
-        frame = frames.pop()
+    for frame in frames:
         golden = infer(model, frame)
         orig_raster = rasterize([d.box for d in golden.detections], width, height)
         orig_rasters.append(orig_raster)
@@ -569,22 +571,24 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
                     corr_raster = rasterize([d.box for d in trace.detections], width, height)
                 elif patch is not None and golden.detections and trace.detections is golden.detections:
                     reused[k][patch] = flags  # golden's own non-empty tuple: the pass did not decode
-            if corr_raster is orig_raster:
-                fp_blobs[k].append(unchanged)
-                fn_blobs[k].append(unchanged)
-            else:
-                fp_blobs[k].append(mask_diff(corr_raster, orig_raster))
-                fn_blobs[k].append(mask_diff(orig_raster, corr_raster))
+            corr_rasters[k].append(corr_raster)
             due_frames[k] += int(any(flags))
+        golden = trace = None  # freed before the next frame's golden pass is built
 
-    area = width * height
+    unchanged = np.zeros((height, width), dtype=bool)  # the FP and FN blob of every unchanged frame
+    unchanged.flags.writeable = False
+
+    def blobs(rasters, others):  # per frame, the pixels a raster sets and its pair does not
+        return [unchanged if a is b else mask_diff(a, b) for a, b in zip(rasters, others)]
+
     fn_tracker = replace(cfg.tracker, coasting=False)
     results = []
     kept_masks = 0
-    for k, (index, fault) in enumerate(zip(indices, faults)):
-        fp_masks = track(fp_blobs[k], cfg.tracker)
-        fp_series = occupancy_series(fp_masks, image_area=area)
-        fn_series = occupancy_series(track(fn_blobs[k], fn_tracker), reference_blobs=orig_rasters)
+    for index, fault, corr, n_due in zip(indices, faults, corr_rasters, due_frames):
+        fp_masks = track(blobs(corr, orig_rasters), cfg.tracker)
+        fp_series = occupancy_series(fp_masks, image_area=width * height)
+        fn_series = occupancy_series(track(blobs(orig_rasters, corr), fn_tracker),
+                                     reference_blobs=orig_rasters)
         fp_levels = sdc_at_severity(fp_series, cfg.severity_levels)
         keep = fp_levels[cfg.severity_levels[0]] and kept_masks < cfg.emit_masks
         kept_masks += keep
@@ -597,7 +601,7 @@ def _permanent_chunk(cfg: CampaignConfig, model: DetectorModel, catalog: ShapeCa
             "fn_series": fn_series,
             "mean_fp_occ": _mean(fp_series),
             "mean_fn_vac": _mean(fn_series),
-            "due_frames": due_frames[k],
+            "due_frames": n_due,
             "fp_masks": fp_masks if keep else None,
         })
     return results

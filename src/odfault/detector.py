@@ -28,6 +28,7 @@ MSB corruption turns small weights into ~1e38 values (or zero weights into
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -237,12 +238,13 @@ def generate_scene(spec: SceneSpec, seed) -> Scene:
     raise RuntimeError(f"could not place {spec.object_count} objects of size {spec.size_range}")
 
 
-def generate_sequence(seed, n_frames: int = 60, width: int = 64, height: int = 64) -> list[Scene]:
+def generate_sequence(seed, n_frames: int = 60, width: int = 64, height: int = 64) -> Iterator[Scene]:
     """Moving-object sequence: lane-bound rectangles bouncing horizontally.
 
     Objects live in disjoint horizontal lanes (so they never interact) and
     translate a few pixels per frame, giving the persistence tracker real
     motion to follow. ``seed`` takes the kinds ``generate_scene`` takes.
+    Lanes are drawn at the call; the iterator renders each frame when reached.
     """
     rng = Stream(seed)
     n_objects = rng.integers(2, 4)
@@ -263,23 +265,22 @@ def generate_sequence(seed, n_frames: int = 60, width: int = 64, height: int = 6
     if not lanes:
         raise RuntimeError("sequence generation placed no objects")
 
-    frames = []
-    for _ in range(n_frames):
-        pixels = _checkerboard(height, width)
-        objects = []
-        for lane in lanes:
-            r1, h, w = lane["row"], lane["h"], lane["w"]
-            c1 = lane["x"]
-            intensity = CATEGORY_INTENSITIES[lane["cat"]]
-            pixels[r1:r1 + h, c1:c1 + w] = F32(intensity)
-            objects.append((Box(c1, r1, c1 + w, r1 + h), lane["cat"], intensity))
-            nxt = c1 + lane["v"]
-            if nxt < 2 or nxt + w > width - 2:
-                lane["v"] = -lane["v"]
+    def frames():
+        for _ in range(n_frames):
+            pixels = _checkerboard(height, width)
+            objects = []
+            for lane in lanes:
+                r1, c1, h, w = lane["row"], lane["x"], lane["h"], lane["w"]
+                intensity = CATEGORY_INTENSITIES[lane["cat"]]
+                pixels[r1:r1 + h, c1:c1 + w] = F32(intensity)
+                objects.append((Box(c1, r1, c1 + w, r1 + h), lane["cat"], intensity))
                 nxt = c1 + lane["v"]
-            lane["x"] = nxt
-        frames.append(Scene(pixels, tuple(objects)))
-    return frames
+                if nxt < 2 or nxt + w > width - 2:
+                    lane["v"] = -lane["v"]
+                    nxt = c1 + lane["v"]
+                lane["x"] = nxt
+            yield Scene(pixels, tuple(objects))
+    return frames()
 
 
 def _stair_bias_low(intensity: float) -> float:

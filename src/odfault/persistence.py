@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from odfault.geometry import _check_integers, mask_popcount
+from odfault.metrics import _mean
 
 __all__ = [
     "TrackerConfig",
@@ -132,12 +133,6 @@ def sdc_at_severity(series: list[float | None], levels) -> dict[float, bool]:
     positive level thresholds the sequence average (undefined frames are
     skipped).
     """
-    defined = [v for v in series if v is not None]
-    mean = sum(defined) / len(defined) if defined else 0.0
-    out = {}
-    for level in levels:
-        if level == 0:
-            out[level] = any(v is not None and v > 0 for v in series)
-        else:
-            out[level] = mean > level
-    return out
+    occupied = any(v is not None and v > 0 for v in series)
+    mean = _mean(series) or 0.0  # no defined frame: no occupancy
+    return {level: occupied if level == 0 else mean > level for level in levels}

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
@@ -296,7 +297,8 @@ def test_scene_side_is_bounded_at_load():
 
 @pytest.mark.parametrize("side, most", [(64, 37449), (1024, 146)])
 def test_permanent_sequence_is_bounded_at_load(side, most):
-    # a permanent work item holds every frame at once, 7 bytes a pixel
+    # a permanent work item of one injection holds 7 bool masks a pixel of
+    # each frame (campaign._injections_per_chunk)
     doc = {"mode": "permanent", "seed": 1, "scene": {"width": side, "height": side}}
     assert CampaignConfig.from_json(doc, n_frames=most).n_frames == most
     with pytest.raises(ConfigError, match=f"n_frames must be at most {most} "):
@@ -307,7 +309,7 @@ def test_permanent_sequence_is_bounded_at_load(side, most):
 
 def test_cli_permanent_refuses_a_long_sequence_before_its_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(campaign, "generate_sequence", lambda *args, **kwargs: pytest.fail(
-        "a million 64x64 frames take 16 GB"))
+        "a million 64x64 frames take 28 GB of masks"))
     out = tmp_path / "perm"
     assert cli.main(["permanent", "--seed", "1", "--n-injections", "1", "--n-frames", "1000000",
                      "--out", str(out)]) == 2
@@ -352,8 +354,29 @@ def test_cli_refuses_a_huge_campaign_before_its_output(tmp_path, capsys, monkeyp
 ])
 def test_unpackable_scene_is_config_error(tmp_path, runner, doc, workers):
     cfg = CampaignConfig.from_json(dict(doc, seed=1, n_injections=2, workers=workers))
-    with pytest.raises(ConfigError, match="SceneSpec"):
+    spec = cfg.scene_spec
+    with pytest.raises(ConfigError, match="SceneSpec" if runner is run_transient
+                       else f"a sequence of {spec.width}x{spec.height} frames"):
         runner(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("command, scene, message", [
+    ("transient", {"width": 1, "height": 1, "object_count": [1, 1]},
+     "cannot generate scenes for SceneSpec(width=1, height=1, object_count=(1, 1), "
+     "size_range=(10, 16)): could not place (1, 1) objects of size (10, 16)"),
+    # a sequence draws its own lanes: object_count and size_range do not apply
+    ("permanent", {"width": 1, "height": 1, "object_count": [0, 0]},
+     "cannot generate a sequence of 1x1 frames: sequence generation placed no objects"),
+])
+def test_cli_unpackable_scene_names_what_was_asked(tmp_path, capsys, monkeypatch, command,
+                                                    scene, message):
+    monkeypatch.setattr(campaign, "infer", lambda *args, **kwargs: pytest.fail(
+        "the generator failed, so nothing is inferred"))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scene": scene}))
+    assert cli.main([command, "--config", str(config), "--seed", "0", "--n-injections", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
 def _leaves(doc, prefix=""):
@@ -506,7 +529,7 @@ def test_permanent_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch
     cfg = CampaignConfig.from_json({"mode": "permanent", "seed": 20, "n_injections": 33,
                                     "emit_masks": 2, "sequence": {"n_frames": 20}})
     run_permanent(cfg, tmp_path / "one")
-    monkeypatch.setattr(campaign, "_CHUNK_MASK_BYTES", 3 * 2 * 20 * 64 * 64)
+    monkeypatch.setattr(campaign, "_ITEM_MASK_BYTES", (5 + 2 * 3) * 20 * 64 * 64)
     assert [len(chunk) for chunk in _permanent_chunks(cfg)] == [3] * 11
     run_permanent(cfg, tmp_path / "threes")
     files = _campaign_files(tmp_path / "one")
@@ -555,6 +578,57 @@ def test_permanent_memory_grows_only_with_changed_frames(tmp_path, monkeypatch):
     assert (peak(150) - short) / 90 < 32 * 1024
 
 
+def test_permanent_frames_are_made_as_they_are_played(tmp_path, monkeypatch):
+    # the t-th golden pass runs when t frames have been made, and after the
+    # previous frame and its golden trace were freed: no frame is made
+    # ahead of the one being played, and none is held after it
+    made, seen, previous = [], [], []
+
+    def sequence(*args, **kwargs):
+        return (made.append(weakref.ref(frame)) or frame
+                for frame in generate_sequence(*args, **kwargs))
+
+    def golden_pass(model, scene):
+        seen.append((len(made), any(ref() is not None for ref in [*made[:-1], *previous])))
+        previous[:] = [weakref.ref(trace := infer(model, scene))]
+        return trace
+
+    monkeypatch.setattr(campaign, "generate_sequence", sequence)
+    monkeypatch.setattr(campaign, "infer", lambda model, scene, fault=None, golden=None: (
+        infer(model, scene, fault, golden) if fault else golden_pass(model, scene)))
+    run_permanent(CampaignConfig(mode="permanent", seed=20, n_injections=3, n_frames=60), tmp_path)
+    assert seen == [(t, False) for t in range(1, 61)]
+
+
+def test_permanent_memory_rule_holds_when_every_frame_changes(tmp_path, monkeypatch):
+    # a stuck-at-1 on the exponent MSB of a zero scoring weight puts a near
+    # image-sized ghost on every frame. Three such injections, all keeping
+    # their FP tracker masks, are the rule's worst case for a chunk of 3.
+    ghost = FaultDescriptor(FaultTarget.WEIGHT, 4, (2, 4, 1, 1), 30, FaultMode.STUCK_AT_1)
+    monkeypatch.setattr(campaign, "sample_fault", lambda *args, **kwargs: ghost)
+    shared = []
+    monkeypatch.setattr(campaign, "track", lambda masks, cfg: shared.append(
+        sum(not mask.flags.writeable for mask in masks)) or track(masks, cfg))
+
+    def peak(n_frames):
+        cfg = CampaignConfig(mode="permanent", seed=0, n_injections=3, emit_masks=3,
+                             n_frames=n_frames)
+        tracemalloc.start()
+        try:
+            run_permanent(cfg, tmp_path / str(n_frames))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(15)  # lazy imports and first-use caches, outside the measured runs
+    short = peak(20)
+    shared.clear()
+    growth = (peak(60) - short) / 40
+    assert shared == [0] * 6  # every frame changed: no blob is the shared empty mask
+    assert len(list((tmp_path / "60").glob("*.pgm"))) == 3 * 60
+    assert growth <= (campaign._ITEM_MASKS + 3 * campaign._INJECTION_MASKS) * 64 * 64
+
+
 def _record_per_class():
     box = Box(1.0, 2.0, 20.0, 30.0)
     det = Detection(box, 2, 0.75)
@@ -584,7 +658,7 @@ def test_per_detection_records_are_slotted(record):
 @pytest.mark.parametrize("side, workers, sizes", [
     (64, 1, [100]),
     (64, 4, [25, 25, 25, 25]),
-    (1024, 1, [8] * 12 + [4]),  # 2 x 60 x 1 MB of masks per injection
+    (1024, 1, [6] * 16 + [4]),  # (5 + 2 x 6) x 60 x 1 MB of masks
     (1024, 64, [2] * 50),
 ])
 def test_permanent_chunks_are_sized_by_mask_memory(side, workers, sizes):

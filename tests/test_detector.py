@@ -247,8 +247,8 @@ def test_sample_fault_integrates_with_catalog():
 
 
 def test_sequence_determinism_and_motion():
-    frames_a = generate_sequence(seed=7, n_frames=20)
-    frames_b = generate_sequence(seed=7, n_frames=20)
+    frames_a = list(generate_sequence(seed=7, n_frames=20))
+    frames_b = list(generate_sequence(seed=7, n_frames=20))
     assert len(frames_a) == 20
     for fa, fb in zip(frames_a, frames_b):
         assert np.array_equal(fa.pixels, fb.pixels)

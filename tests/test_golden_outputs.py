@@ -94,10 +94,14 @@ RUNS = {
     "transient_weight_fixed_scene": _transient(
         {"mode": "transient", "seed": 9, "n_injections": 60, "target": "weight",
          "scene": {"fixed": True}}),
-    # two injection chunks; one injection persists and writes its masks
+    # one injection chunk; one injection persists and writes its masks
     "permanent_masks": _permanent(
         {"mode": "permanent", "seed": 20, "n_injections": 33, "emit_masks": 2,
          "sequence": {"n_frames": 20}}),
+    # weight faults resume from every frame; one persists and writes 20 masks
+    "permanent_weight_masks": _permanent(
+        {"mode": "permanent", "seed": 3, "n_injections": 30, "target": "weight",
+         "emit_masks": 2, "sequence": {"n_frames": 20}}),
     "ingest_storm": _ingest,
     "simulate_pr": lambda out, tmp: simulate_pr(seed=7, out_dir=out),
 }
